@@ -21,7 +21,6 @@ from .exceptions import (
 from .geometry import (
     FUNDAMENTAL,
     HOMOGRAPHY,
-    Correspondence,
     ModelMatrix,
     angle_between,
     denormalize_model,
@@ -63,7 +62,6 @@ from .synth import SynthConfig, SynthDataset, synth_dataset, synth_fundamental, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Correspondence",
     "DegenerateInputError",
     "DegenerateSampleError",
     "EstimationFailedError",

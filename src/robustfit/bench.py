@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EstimationFailedError, InvalidInputError
-from .fileio import BenchRecord, CorrespondenceFile
+from .fileio import BenchRecord, CorrespondenceFile, csv_safe
 from .geometry import model_residuals
 from .ransac import LO_METHODS, RansacConfig, RunReport, run_ransac
 
@@ -122,7 +122,9 @@ def run_bench(
     for method in methods:
         if method not in LO_METHODS:
             raise InvalidInputError(f"unknown method {method!r}")
-    for _, data in datasets:
+    for dataset_id, data in datasets:
+        if not csv_safe(dataset_id):
+            raise InvalidInputError(f"dataset id {dataset_id!r} does not fit a CSV cell")
         data.validation_mask()  # fail fast when labels are missing
 
     tasks = [

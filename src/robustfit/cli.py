@@ -1,6 +1,8 @@
 """Command-line surface: estimate, bench, synth, select.
 
-Exit codes: 0 success, 2 usage, 3 parse error, 4 estimation failed.
+Exit codes: 0 success, 2 usage (including a path that cannot be read or
+written), 3 parse error (including a non-ASCII input byte), 4 estimation
+failed.
 All structured output goes to stdout as JSON (or CSV via --out); the synth
 subcommand prints its ground-truth model to stderr.
 """
@@ -90,7 +92,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
+    try:
+        sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
+    except ValueError:
+        raise InvalidInputError(f"bad --sigmas list {args.sigmas!r}") from None
     if not methods or not sigmas:
         raise InvalidInputError("empty --methods or --sigmas sweep list")
     datasets = [(path.rsplit("/", 1)[-1].rsplit(".", 1)[0], parse_correspondences(path))
@@ -211,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"robustfit: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"robustfit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RobustFitError as exc:

@@ -88,10 +88,19 @@ def correspondences_to_text(
     return "\n".join(lines) + "\n"
 
 
+def _read_ascii(path: str | Path) -> str:
+    """File contents as text; a non-ASCII byte raises ParseError on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"non-ASCII byte {data[exc.start]:#04x}", line_no) from None
+
+
 def parse_correspondences(path: str | Path) -> CorrespondenceFile:
     """Parse a correspondence file; malformed input raises ParseError with a line number."""
-    text = Path(path).read_text(encoding="ascii")
-    return parse_correspondences_text(text)
+    return parse_correspondences_text(_read_ascii(path))
 
 
 def parse_correspondences_text(text: str) -> CorrespondenceFile:
@@ -163,7 +172,9 @@ class BenchRecord:
     wall_ms: float
 
     def sort_key(self):
-        return (self.dataset, self.method, self.sigma, self.trial)
+        # Sigma as written, so rows that print the same sigma keep one order
+        # through a write/parse/write cycle.
+        return (self.dataset, self.method, float(fmt(self.sigma)), self.trial)
 
     def to_csv_row(self) -> str:
         return ",".join(
@@ -192,16 +203,22 @@ def write_records(path: str | Path, records: list[BenchRecord]) -> None:
     Path(path).write_text(records_to_csv(records), encoding="ascii")
 
 
+def csv_safe(field: str) -> bool:
+    """True when ``field`` fits one bench CSV cell: ASCII, no comma, no line break."""
+    return field.isascii() and "," not in field and len(f"{field}.".splitlines()) == 1
+
+
 def parse_records(path: str | Path) -> list[BenchRecord]:
-    return parse_records_text(Path(path).read_text(encoding="ascii"))
+    return parse_records_text(_read_ascii(path))
 
 
 def parse_records_text(text: str) -> list[BenchRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError("missing or unexpected CSV header", 1)
+    """Parse a bench CSV; blank lines are skipped, errors carry the file's line number."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
+        raise ParseError("missing or unexpected CSV header", lines[0][0] if lines else 1)
     records = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         cols = line.split(",")
         if len(cols) != 10:
             raise ParseError(f"expected 10 columns, got {len(cols)}", line_no)

@@ -1,4 +1,4 @@
-"""Correspondences, coordinate normalization, constraint embeddings, residuals.
+"""Coordinate normalization, constraint embeddings and their rows, residuals.
 
 Conventions used throughout the package
 ---------------------------------------
@@ -23,20 +23,6 @@ from .linalg import apply_sign_convention
 
 FUNDAMENTAL = "fundamental"
 HOMOGRAPHY = "homography"
-
-# Label values for correspondences with ground-truth annotation.
-LABEL_OUTLIER = 0
-LABEL_INLIER = 1
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    """A matched point pair (pixels) with an optional ground-truth label."""
-
-    x1: np.ndarray  # (2,) view-1 pixel coordinates
-    x2: np.ndarray  # (2,) view-2 pixel coordinates
-    label: int | None = None  # LABEL_INLIER / LABEL_OUTLIER / None
-
 
 @dataclass(frozen=True)
 class ModelMatrix:
@@ -161,6 +147,22 @@ def homographic_embeddings(x1h: np.ndarray, x2h: np.ndarray, unit: bool = True) 
             raise InvalidInputError("zero homographic embedding")
         blocks = blocks / norms
     return blocks
+
+
+def constraint_rows(data: np.ndarray) -> tuple[np.ndarray, int]:
+    """Stack constraint embeddings into a matrix with one row per constraint.
+
+    ``data`` is (d, n) single-constraint columns or (n, d, m) blocks of m
+    constraints per correspondence. Returns the (n*m, d) rows, grouped by
+    correspondence, and m. The only place that knows the row layout.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim == 2:
+        return data.T, 1
+    if data.ndim != 3:
+        raise InvalidInputError(f"expected (d, n) columns or (n, d, m) blocks, got {data.shape}")
+    n, d, m = data.shape
+    return data.transpose(0, 2, 1).reshape(n * m, d), m
 
 
 def sampson_distance(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

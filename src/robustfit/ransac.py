@@ -73,8 +73,6 @@ class RansacConfig:
     irls: IrlsConfig = field(default_factory=IrlsConfig)
     # Homography residual variant: score with forward + backward transfer error.
     symmetric_transfer: bool = False
-    # Experimental: refit from every point instead of the classified inliers.
-    lo_refit_full_data: bool = False
 
     def __post_init__(self):
         if (self.epsilon is None) == (self.sigma is None):
@@ -100,11 +98,6 @@ class RansacConfig:
             raise InvalidInputError("sigma-based threshold needs the image size")
         w, h = image_size
         return float(self.sigma) * math.hypot(w, h)
-
-
-@dataclass(frozen=True)
-class MinimalSample:
-    indices: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,11 +156,12 @@ def classify_inliers(residuals: np.ndarray, epsilon: float) -> np.ndarray:
     return np.asarray(residuals) <= epsilon
 
 
-def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int) -> MinimalSample:
+def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int) -> np.ndarray:
     """Uniform sample of ``sample_size`` distinct indices from range(n).
 
     Partial Fisher-Yates with a sparse swap table: exactly ``sample_size``
-    integer draws from ``rng`` per call, uniform over all subsets.
+    integer draws from ``rng`` per call, uniform over all subsets. Returns
+    the (sample_size,) int64 index array in draw order.
     """
     if sample_size > n:
         raise InvalidInputError(f"cannot draw {sample_size} distinct indices from {n}")
@@ -179,7 +173,7 @@ def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int) -> M
         vr = swaps.get(r, r)
         swaps[j], swaps[r] = vr, vj
         out[j] = vr
-    return MinimalSample(indices=out)
+    return out
 
 
 class ProblemSetup:
@@ -203,10 +197,11 @@ class ProblemSetup:
         )
         self.t1, self.x1n = hartley_normalize(self.x1)
         self.t2, self.x2n = hartley_normalize(self.x2)
+        # (n, 9, m) blocks: m = 1 epipolar or m = 2 homographic constraints.
         if problem == FUNDAMENTAL:
-            self.embeddings = epipolar_embeddings(self.x1n, self.x2n)  # (9, n)
+            self.embeddings = epipolar_embeddings(self.x1n, self.x2n).T[:, :, None]
         else:
-            self.embeddings = homographic_embeddings(self.x1n, self.x2n)  # (n, 9, 2)
+            self.embeddings = homographic_embeddings(self.x1n, self.x2n)
 
     def residuals(self, model: ModelMatrix) -> np.ndarray:
         return model_residuals(model, self.x1, self.x2, self.symmetric_transfer)
@@ -232,19 +227,11 @@ class ProblemSetup:
             candidates = [homography_4pt(a, b)]
         return [denormalize_model(self.t1, self.t2, m) for m in candidates]
 
-    def min_refit_points(self) -> int:
-        # 8 constraint rows: 8 epipolar embeddings or 4 homographic blocks.
-        return 8 if self.problem == FUNDAMENTAL else 4
-
     def refit(self, inlier_mask: np.ndarray, method: str, cfg: RansacConfig) -> ModelMatrix | None:
-        """Refit a model from the masked inliers; None when too few points."""
-        idx = np.flatnonzero(inlier_mask)
-        if idx.size < self.min_refit_points():
+        """Refit a model from the masked inliers; None below 8 constraint rows."""
+        data = self.embeddings[inlier_mask]
+        if data.shape[0] * data.shape[2] < 8:
             return None
-        if self.problem == FUNDAMENTAL:
-            data = self.embeddings[:, idx]
-        else:
-            data = self.embeddings[idx]
         if method == "dlt":
             v = dlt_refit(data)
         elif method == "huber":
@@ -271,12 +258,7 @@ def local_optimize(scored: ScoredModel, setup: ProblemSetup, cfg: RansacConfig,
     best = scored
     current = scored
     for _ in range(cfg.lo_k_max):
-        mask = (
-            np.ones(setup.n, dtype=bool)
-            if cfg.lo_refit_full_data
-            else classify_inliers(current.residuals, epsilon)
-        )
-        refit = setup.refit(mask, cfg.lo_method, cfg)
+        refit = setup.refit(classify_inliers(current.residuals, epsilon), cfg.lo_method, cfg)
         if refit is None:
             break
         rescored = setup.score(refit, epsilon)
@@ -304,7 +286,7 @@ def sample_stream_digest(seed: int, n: int, sample_size: int, count: int) -> str
     rng = _seed_rng(seed)
     digest = hashlib.sha256()
     for _ in range(count):
-        _digest_update(digest, draw_minimal_sample(rng, n, sample_size).indices)
+        _digest_update(digest, draw_minimal_sample(rng, n, sample_size))
     return digest.hexdigest()
 
 
@@ -346,10 +328,10 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
 
     while iterations < budget:
         sample = draw_minimal_sample(rng, setup.n, setup.sample_size)
-        _digest_update(digest, sample.indices)
+        _digest_update(digest, sample)
         iterations += 1
         try:
-            candidates = setup.minimal_solve(sample.indices)
+            candidates = setup.minimal_solve(sample)
         except DegenerateSampleError:
             continue
         for candidate in candidates:
@@ -386,20 +368,3 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
             f"no non-degenerate sample in {iterations} draws", report=report
         )
     return report
-
-
-__all__ = [
-    "LO_METHODS",
-    "MinimalSample",
-    "ProblemSetup",
-    "RansacConfig",
-    "RunReport",
-    "ScoredModel",
-    "classify_inliers",
-    "draw_minimal_sample",
-    "local_optimize",
-    "required_iterations",
-    "run_ransac",
-    "sample_stream_digest",
-    "truncated_quadratic_score",
-]

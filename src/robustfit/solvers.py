@@ -1,4 +1,4 @@
-"""Minimal solvers (7-point fundamental, 4-point homography) and DLT refits.
+"""Minimal solvers (7-point fundamental, 4-point homography) and the DLT refit.
 
 All solvers expect Hartley-normalized coordinates for conditioning; callers
 denormalize the results. Rank decisions use a scale-free singular-value gap:
@@ -14,6 +14,7 @@ from .geometry import (
     FUNDAMENTAL,
     HOMOGRAPHY,
     ModelMatrix,
+    constraint_rows,
     epipolar_embeddings,
     homographic_embeddings,
     normalize_model,
@@ -107,42 +108,19 @@ def homography_4pt(x1h: np.ndarray, x2h: np.ndarray) -> ModelMatrix:
         raise InvalidInputError("the 4-point solver needs exactly 4 correspondences")
     if _has_collinear_triple(x1h) or _has_collinear_triple(x2h):
         raise DegenerateSampleError("3 collinear points in one view")
-    blocks = homographic_embeddings(x1h, x2h)  # (4, 9, 2)
-    a = blocks.transpose(0, 2, 1).reshape(8, 9)
+    a, _ = constraint_rows(homographic_embeddings(x1h, x2h))  # (8, 9)
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     if s[7] < _RANK_GAP * s[0]:
         raise DegenerateSampleError("4-point sample is rank-deficient")
     return normalize_model(unvec_model(vt[8]), HOMOGRAPHY)
 
 
-def stack_blocks(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Stack embedding blocks into a constraint matrix, one row per constraint.
+def dlt_refit(blocks: np.ndarray) -> np.ndarray:
+    """Plain DLT: least singular vector of the stacked constraint rows.
 
-    ``blocks`` is (9, n) single-constraint columns or (n, 9, m) groups;
-    ``weights`` is one non-negative scale per correspondence.
+    ``blocks`` is (9, n) columns or (n, 9, m) blocks. Needs at least 8 rows.
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim == 2:
-        rows = blocks.T
-        n = rows.shape[0]
-    elif blocks.ndim == 3:
-        n = blocks.shape[0]
-        rows = blocks.transpose(0, 2, 1).reshape(n * blocks.shape[2], 9)
-    else:
-        raise InvalidInputError(f"unrecognized block layout {blocks.shape}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        per_row = np.repeat(weights, rows.shape[0] // n)
-        rows = rows * per_row[:, None]
-    return rows
-
-
-def dlt_refit(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Weighted DLT: least singular vector of the stacked constraint rows.
-
-    With unit weights this is the plain DLT refit. Needs at least 8 rows.
-    """
-    rows = stack_blocks(blocks, weights)
+    rows, _ = constraint_rows(blocks)
     if rows.shape[0] < 8:
         raise InsufficientDataError(f"DLT refit needs >= 8 constraint rows, got {rows.shape[0]}")
     return least_singular_vector(rows)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InsufficientDataError, InvalidInputError
-from .linalg import least_eigvecs, least_singular_vector, top_eigvecs
+from .geometry import constraint_rows
+from .linalg import least_eigvecs, top_eigvecs
 
 
 @dataclass(frozen=True)
@@ -59,49 +60,51 @@ def _as_data_matrix(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _as_blocks(data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 2:  # (d, n) columns -> groups of size 1
-        data = data.T[:, :, None]
-    if data.ndim != 3:
-        raise InvalidInputError(f"expected (n, d, m) blocks, got shape {data.shape}")
-    return data
+def _irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | None,
+          c_huber: float | None = None) -> np.ndarray:
+    """The IRLS loop behind every solver: a robust (d, codim) nullspace basis.
 
-
-def _irls_single_vector(blocks: np.ndarray, weight_fn, loss_fn, cfg: IrlsConfig,
-                        trace: list | None) -> np.ndarray:
-    """Shared loop for all single-normal solvers.
-
-    ``blocks`` is (n, d, m); group residuals are ||B_i^T b||_2. The weighted
-    covariance sum_i w_i B_i B_i^T is evaluated as one rank-(n*m) gemm on the
-    stacked constraint rows, which keeps the per-iteration reduction order
-    fixed (bit-reproducible) and fast.
+    ``data`` is (d, n) columns or (n, d, m) blocks; the residual of
+    correspondence i is ||B^T Y_i||_F over its m constraint rows. Weights and
+    objective are DPCP's (inverse residual with a floor, smoothed |r|) or,
+    given ``c_huber``, Huber's. The weighted covariance sum_i w_i Y_i Y_i^T is
+    one gemm on the stacked rows, which keeps the per-iteration reduction
+    order fixed (bit-reproducible) and fast; all ``codim`` directions are
+    updated jointly, so B stays orthonormal.
     """
-    n, d, m = blocks.shape
-    if n * m < d - 1:
-        raise InsufficientDataError(f"need at least d-1={d - 1} constraints, got {n * m}")
-    rows = np.ascontiguousarray(blocks.transpose(0, 2, 1).reshape(n * m, d))
+    rows, m = constraint_rows(data)
+    rows = np.ascontiguousarray(rows)
+    n_rows, d = rows.shape
+    if not 1 <= codim < d:
+        raise InvalidInputError(f"codimension {codim} out of range for d={d}")
+    if n_rows < d - codim:
+        raise InsufficientDataError(f"need at least d-c={d - codim} constraints, got {n_rows}")
+    delta = cfg.weight_floor
 
-    def residuals(vec: np.ndarray) -> np.ndarray:
-        per_row = (rows @ vec).reshape(n, m)
-        return np.linalg.norm(per_row, axis=1)
+    def weights(r: np.ndarray) -> np.ndarray:
+        if c_huber is None:
+            return 1.0 / np.maximum(r, delta)
+        return np.where(r <= c_huber, 1.0, c_huber / np.maximum(r, c_huber))
 
-    b = least_singular_vector(rows)
-    resid = residuals(b)
-    obj = float(np.sum(loss_fn(resid)))
+    def objective(basis: np.ndarray) -> tuple[np.ndarray, float]:
+        r = np.linalg.norm((rows @ basis).reshape(-1, m * codim), axis=1)
+        loss = smoothed_abs(r, delta) if c_huber is None else huber_loss(r, c_huber)
+        return r, float(np.sum(loss))
+
+    basis = least_eigvecs(rows.T @ rows, codim)
+    resid, obj = objective(basis)
     if trace is not None:
         trace.append(obj)
     for _ in range(cfg.tau_max):
-        w_rows = np.repeat(weight_fn(resid), m)
-        b = least_eigvecs((rows * w_rows[:, None]).T @ rows, 1)[:, 0]
-        resid = residuals(b)
-        new_obj = float(np.sum(loss_fn(resid)))
+        w_rows = np.repeat(weights(resid), m)
+        basis = least_eigvecs((rows * w_rows[:, None]).T @ rows, codim)
+        resid, new_obj = objective(basis)
         if trace is not None:
             trace.append(new_obj)
         if obj - new_obj < cfg.tol:
             break
         obj = new_obj
-    return b
+    return basis
 
 
 def dpcp_irls(y: np.ndarray, cfg: IrlsConfig = IrlsConfig(), trace: list | None = None) -> np.ndarray:
@@ -109,7 +112,8 @@ def dpcp_irls(y: np.ndarray, cfg: IrlsConfig = IrlsConfig(), trace: list | None 
 
     Parameters
     ----------
-    y : (d, n) data matrix, columns are (typically unit) embeddings, n >= d-1.
+    y : (d, n) data matrix or (n, d, 1) blocks, one (typically unit)
+        embedding per correspondence, n >= d-1.
     cfg : IRLS settings.
     trace : optional list collecting the smoothed objective per iterate.
 
@@ -119,25 +123,19 @@ def dpcp_irls(y: np.ndarray, cfg: IrlsConfig = IrlsConfig(), trace: list | None 
     with weights 1 / max(|b^T y_i|, weight_floor), initialized at the least
     singular direction of the data.
     """
-    return dpcp_irls_group(_as_data_matrix(y).T[:, :, None], cfg, trace)
+    if np.ndim(y) == 3 and np.shape(y)[2] != 1:
+        raise InvalidInputError(f"expected one constraint per block, got shape {np.shape(y)}")
+    return _irls(y, 1, cfg, trace)[:, 0]
 
 
 def dpcp_irls_group(blocks: np.ndarray, cfg: IrlsConfig = IrlsConfig(), trace: list | None = None) -> np.ndarray:
     """Group variant: minimize the sum of ||B_i^T b||_2 over unit b.
 
-    ``blocks`` is (n, d, m); for m = 1 this is exactly :func:`dpcp_irls` on
-    the same columns. Used for the two-constraint homography blocks (and any
-    group-structured embedding).
+    ``blocks`` is (n, d, m) (or (d, n) columns); for m = 1 this is exactly
+    :func:`dpcp_irls` on the same columns. Used for the two-constraint
+    homography blocks (and any group-structured embedding).
     """
-    blocks = _as_blocks(blocks)
-    delta = cfg.weight_floor
-    return _irls_single_vector(
-        blocks,
-        weight_fn=lambda r: 1.0 / np.maximum(r, delta),
-        loss_fn=lambda r: smoothed_abs(r, delta),
-        cfg=cfg,
-        trace=trace,
-    )
+    return _irls(blocks, 1, cfg, trace)[:, 0]
 
 
 def huber_irls(
@@ -154,13 +152,7 @@ def huber_irls(
     """
     if c_huber <= 0.0:
         raise InvalidInputError("c_huber must be positive")
-    return _irls_single_vector(
-        _as_blocks(data),
-        weight_fn=lambda r: np.where(r <= c_huber, 1.0, c_huber / np.maximum(r, c_huber)),
-        loss_fn=lambda r: huber_loss(r, c_huber),
-        cfg=cfg,
-        trace=trace,
-    )
+    return _irls(data, 1, cfg, trace, c_huber)[:, 0]
 
 
 def dpcp_irls_basis(
@@ -171,35 +163,11 @@ def dpcp_irls_basis(
 ) -> np.ndarray:
     """Robust orthonormal basis of a ``codim``-dimensional nullspace.
 
-    Minimizes the sum of ||B^T y_i||_2 over orthonormal (d, codim) B; all
-    ``codim`` directions are updated jointly each iteration (simultaneous
-    least eigenvectors of the weighted covariance), which keeps B orthonormal
-    by construction.
+    Minimizes the sum of ||B^T y_i||_2 over orthonormal (d, codim) B for a
+    (d, n) data matrix; the same loop as :func:`dpcp_irls`, which is the
+    ``codim = 1`` case.
     """
-    y = _as_data_matrix(y)
-    d, n = y.shape
-    if not 1 <= codim < d:
-        raise InvalidInputError(f"codimension {codim} out of range for d={d}")
-    if n < d - codim:
-        raise InsufficientDataError(f"need at least d-c={d - codim} columns, got {n}")
-
-    delta = cfg.weight_floor
-    basis = least_eigvecs(y @ y.T, codim)
-    resid = np.linalg.norm(basis.T @ y, axis=0)
-    obj = float(np.sum(smoothed_abs(resid, delta)))
-    if trace is not None:
-        trace.append(obj)
-    for _ in range(cfg.tau_max):
-        w = 1.0 / np.maximum(resid, delta)
-        basis = least_eigvecs((y * w) @ y.T, codim)
-        resid = np.linalg.norm(basis.T @ y, axis=0)
-        new_obj = float(np.sum(smoothed_abs(resid, delta)))
-        if trace is not None:
-            trace.append(new_obj)
-        if obj - new_obj < cfg.tol:
-            break
-        obj = new_obj
-    return basis
+    return _irls(_as_data_matrix(y), codim, cfg, trace)
 
 
 def nullspace_weights(basis: np.ndarray, y: np.ndarray) -> np.ndarray:

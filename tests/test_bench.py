@@ -63,6 +63,20 @@ def test_bench_rejects_unlabeled_and_empty_sweeps():
         run_bench([("ds", data)], ["lmeds"], [0.0025], 2, 0)
 
 
+@pytest.mark.parametrize(
+    "dataset_id",
+    ["a,b", "a\nb", "a\r", "a\x0bb", "caf\u00e9"],
+    ids=["comma", "newline", "carriage-return", "vertical-tab", "non-ascii"],
+)
+def test_bench_rejects_dataset_id_the_csv_cannot_carry(monkeypatch, dataset_id):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the dataset id was checked")
+
+    monkeypatch.setattr("robustfit.bench.run_trial", no_trial)
+    with pytest.raises(InvalidInputError):
+        run_bench([(dataset_id, make_dataset())], ["none"], [0.0025], 1, 0)
+
+
 def test_paired_sampling_across_methods():
     data = make_dataset(seed=1)
     settings = BenchSettings(t_max=200)

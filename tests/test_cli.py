@@ -155,3 +155,41 @@ def test_synth_degenerate_planar_spectrum(tmp_path, capsys):
     _, x2n = hartley_normalize(data.x2)
     s = np.linalg.svd(epipolar_embeddings(x1n, x2n)[:, inl].T, compute_uv=False)
     assert np.all(s[6:] <= 1e-6 * s[0])  # 3-dimensional nullspace
+
+
+@pytest.mark.parametrize(
+    "command, content, expected",
+    [
+        ("estimate", b"# robustfit v1 homography 640 480\n1 2 3 \xc3\xa9\n", 3),
+        ("select", b"dataset,method\n\xff\n", 3),
+        ("estimate", None, 2),
+        ("bench", None, 2),
+        ("select", None, 2),
+        ("estimate", "directory", 2),
+    ],
+    ids=["estimate-non-ascii", "select-non-ascii", "estimate-missing", "bench-missing",
+         "select-missing", "estimate-directory"],
+)
+def test_bad_input_path_or_bytes_map_to_exit_codes(tmp_path, capsys, command, content, expected):
+    path = tmp_path / "input"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    extra = {
+        "estimate": ["--epsilon", "2"],
+        "bench": ["--sigmas", "0.01", "--methods", "none", "--out", str(tmp_path / "o.csv")],
+        "select": [],
+    }[command]
+    code, _, err = run_cli(capsys, command, "--input", str(path), *extra)
+    assert code == expected
+    assert err.startswith("robustfit: ")
+
+
+def test_bench_bad_sigma_list_usage_error(tmp_path, synth_file, capsys):
+    path, _ = synth_file
+    code, _, _ = run_cli(
+        capsys, "bench", "--input", str(path), "--sigmas", "0.01,abc", "--methods", "dpcp",
+        "--out", str(tmp_path / "o.csv"),
+    )
+    assert code == 2

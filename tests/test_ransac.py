@@ -64,13 +64,13 @@ def test_classify_inliers_gaussian_recall():
 def test_draw_minimal_sample_identity_and_determinism():
     rng = np.random.default_rng(1)
     s = draw_minimal_sample(rng, 5, 5)
-    assert sorted(s.indices.tolist()) == [0, 1, 2, 3, 4]
+    assert sorted(s.tolist()) == [0, 1, 2, 3, 4]
 
     a = np.random.Generator(np.random.PCG64(7))
     b = np.random.Generator(np.random.PCG64(7))
     for _ in range(20):
         np.testing.assert_array_equal(
-            draw_minimal_sample(a, 100, 7).indices, draw_minimal_sample(b, 100, 7).indices
+            draw_minimal_sample(a, 100, 7), draw_minimal_sample(b, 100, 7)
         )
     with pytest.raises(InvalidInputError):
         draw_minimal_sample(rng, 3, 4)
@@ -81,7 +81,7 @@ def test_draw_minimal_sample_uniform_frequency():
     counts = np.zeros(10)
     draws = 100_000
     for _ in range(draws):
-        counts[draw_minimal_sample(rng, 10, 4).indices] += 1
+        counts[draw_minimal_sample(rng, 10, 4)] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.4) <= 0.01)
 

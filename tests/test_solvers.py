@@ -104,17 +104,6 @@ def test_dlt_refit_exact_homography():
     assert angle_between(v, vec_model(hn)) <= 1e-7
 
 
-def test_dlt_refit_zero_weights_remove_rows():
-    ds = synth_homography(SynthConfig(HOMOGRAPHY, n_inliers=30, n_outliers=30, seed=5))
-    t1, x1n = hartley_normalize(ds.x1)
-    t2, x2n = hartley_normalize(ds.x2)
-    blocks = homographic_embeddings(x1n, x2n)
-    w = ds.labels.astype(float)
-    v_weighted = dlt_refit(blocks, w)
-    v_subset = dlt_refit(blocks[ds.labels])
-    np.testing.assert_allclose(v_weighted, v_subset, atol=1e-9)
-
-
 def test_dlt_refit_duplication_and_permutation_invariance():
     rng = np.random.default_rng(6)
     ds = synth_homography(SynthConfig(HOMOGRAPHY, n_inliers=20, noise_sigma=0.5, seed=6))
