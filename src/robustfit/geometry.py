@@ -10,6 +10,10 @@ Conventions used throughout the package
   scoring and inlier classification are evaluated in pixel coordinates on
   the denormalized model, so thresholds in pixels are meaningful.
 * Degenerate residuals return ``inf`` (never NaN) so comparisons stay total.
+* Models, the normalization and the residuals also take (K, 3, 3) stacks, so
+  a batch of hypotheses is denormalized and scored in one call. A stack gives
+  each model the bits it gets alone: every reduction keeps the per-model
+  element order and memory layout of the single case.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ HOMOGRAPHY = "homography"
 
 @dataclass(frozen=True)
 class ModelMatrix:
-    """A 3x3 fundamental or homography matrix, unit Frobenius norm."""
+    """A 3x3 fundamental or homography matrix, unit Frobenius norm, or a
+    (K, 3, 3) stack of them of one kind."""
 
     m: np.ndarray
     kind: str
@@ -38,21 +43,43 @@ class ModelMatrix:
 
 
 def vec_model(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=np.float64).flatten(order="F")
+    """(3, 3) -> (9,), or (K, 3, 3) -> (K, 9) rows (a view of ``unvec_model`` output)."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim == 2:
+        return m.flatten(order="F")
+    return np.swapaxes(m, 1, 2).reshape(-1, 9)
 
 
 def unvec_model(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64).reshape(3, 3, order="F")
+    """(9,) -> (3, 3), or (K, 9) rows -> (K, 3, 3); views in column-major layout."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.swapaxes(v.reshape(v.shape[:-1] + (3, 3)), -1, -2)
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """(K,) Frobenius norms of a (K, 3, 3) stack, bit for bit as ``np.linalg.norm``
+    takes each one alone: BLAS ``ddot`` over the entries in memory order.
+    That order follows the layout (column-major for ``unvec_model`` views,
+    row-major for products), and the last bit depends on it."""
+    if stack.strides[1] < stack.strides[2]:
+        stack = np.swapaxes(stack, 1, 2)
+    rows = stack.reshape(-1, 9)
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def normalize_model(m: np.ndarray, kind: str) -> ModelMatrix:
-    """Scale to unit Frobenius norm and apply the sign convention."""
+    """Scale to unit Frobenius norm and apply the sign convention.
+
+    ``m`` is one (3, 3) matrix or a (K, 3, 3) stack (then one model each).
+    """
     m = np.asarray(m, dtype=np.float64)
-    norm = np.linalg.norm(m)
-    if not np.isfinite(norm) or norm == 0.0:
+    stack = m if m.ndim == 3 else m[None]
+    norm = frobenius_norms(stack)
+    if not np.all(np.isfinite(norm)) or np.any(norm == 0.0):
         raise InvalidInputError("model matrix is zero or non-finite")
-    v = apply_sign_convention(m.flatten(order="F") / norm)
-    return ModelMatrix(m=unvec_model(v), kind=kind)
+    v = vec_model(stack) / norm[:, None]
+    apply_sign_convention(v.T)
+    return ModelMatrix(m=unvec_model(v if m.ndim == 3 else v[0]), kind=kind)
 
 
 def homogeneous(points: np.ndarray) -> np.ndarray:
@@ -69,6 +96,12 @@ def dehomogenize(h: np.ndarray, min_w: float = 1e-12) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(safe, h[:, :2] / np.where(safe, w, 1.0), np.inf)
     return out
+
+
+def _lift(points: np.ndarray) -> np.ndarray:
+    """(n, 2) pixel points or (2,) to homogeneous (n, 3); (n, 3) passes through."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    return points if points.shape[1] == 3 else homogeneous(points)
 
 
 def hartley_normalize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,41 +198,68 @@ def constraint_rows(data: np.ndarray) -> tuple[np.ndarray, int]:
     return data.transpose(0, 2, 1).reshape(n * m, d), m
 
 
+# The residuals below take one (3, 3) matrix or a (K, 3, 3) stack, and (2,)
+# points, (n, 2) pixel arrays or their (n, 3) homogeneous lifts. They return
+# a scalar, (n,) or (K, n) array.
+
+
+def _residuals(kernel, m: np.ndarray, x1: np.ndarray, x2: np.ndarray):
+    m = np.asarray(m, dtype=np.float64)
+    r = kernel(m if m.ndim == 3 else m[None], _lift(x1), _lift(x2))
+    if m.ndim == 3:
+        return r
+    return float(r[0, 0]) if np.asarray(x1).ndim == 1 else r[0]
+
+
+def _sampson(f: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    fx1 = h1 @ np.swapaxes(f, 1, 2)  # rows: F @ x1_i
+    ftx2 = h2 @ f  # rows: F^T @ x2_i
+    k, n = fx1.shape[:2]
+    # One (K*n, 3) row product, so every row takes einsum's single-model path.
+    num = np.abs(np.einsum("ij,ij->i", np.broadcast_to(h2, fx1.shape).reshape(k * n, 3),
+                           fx1.reshape(k * n, 3))).reshape(k, n)
+    den = np.sqrt(fx1[..., 0] ** 2 + fx1[..., 1] ** 2 + ftx2[..., 0] ** 2 + ftx2[..., 1] ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den >= 1e-15, num / np.where(den >= 1e-15, den, 1.0), np.inf)
+
+
+def _transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    # Works on (K, n) coordinate planes: the same operations as dehomogenize
+    # and a norm over the last axis of (K, n, 2), at a fraction of the cost.
+    mapped = h1 @ np.swapaxes(h, 1, 2)
+    w = mapped[..., 2]
+    safe = np.abs(w) >= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(safe, w, 1.0)
+        px = np.where(safe, mapped[..., 0] / w, np.inf)
+        py = np.where(safe, mapped[..., 1] / w, np.inf)
+        dx = px - h2[:, 0]
+        dy = py - h2[:, 1]
+        return np.where(np.isfinite(px) & np.isfinite(py), np.sqrt(dx * dx + dy * dy), np.inf)
+
+
+def _symmetric_transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    invertible = np.abs(np.linalg.det(h)) >= 1e-15
+    inverse = np.linalg.inv(np.where(invertible[:, None, None], h, np.eye(3)))
+    both = _transfer(h, h1, h2) + _transfer(inverse, h2, h1)
+    return np.where(invertible[:, None], both, np.inf)
+
+
 def sampson_distance(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """First-order geometric (Sampson) distance to the epipolar constraint.
 
     |x2^T F x1| / sqrt((Fx1)_1^2 + (Fx1)_2^2 + (F^T x2)_1^2 + (F^T x2)_2^2),
     evaluated in pixel coordinates. Denominators below 1e-15 give inf.
-
-    Accepts (2,) points or (n, 2) arrays; returns a scalar or (n,) array.
     """
-    scalar = np.asarray(x1).ndim == 1
-    h1 = homogeneous(x1)
-    h2 = homogeneous(x2)
-    fx1 = h1 @ f.T  # rows: F @ x1_i
-    ftx2 = h2 @ f  # rows: F^T @ x2_i
-    num = np.abs(np.einsum("ij,ij->i", h2, fx1))
-    den = np.sqrt(fx1[:, 0] ** 2 + fx1[:, 1] ** 2 + ftx2[:, 0] ** 2 + ftx2[:, 1] ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(den >= 1e-15, num / np.where(den >= 1e-15, den, 1.0), np.inf)
-    return float(d[0]) if scalar else d
+    return _residuals(_sampson, f, x1, x2)
 
 
 def transfer_error(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """One-directional transfer error ||dehom(H x1) - x2|| in pixels.
 
     Points mapped to infinity ((Hx)_3 below 1e-12 in magnitude) give inf.
-    Accepts (2,) points or (n, 2) arrays; returns a scalar or (n,) array.
     """
-    scalar = np.asarray(x1).ndim == 1
-    mapped = homogeneous(x1) @ h.T
-    proj = dehomogenize(mapped)
-    with np.errstate(invalid="ignore"):
-        diff = proj - np.atleast_2d(x2)
-        err = np.where(
-            np.all(np.isfinite(proj), axis=1), np.linalg.norm(diff, axis=1), np.inf
-        )
-    return float(err[0]) if scalar else err
+    return _residuals(_transfer, h, x1, x2)
 
 
 def symmetric_transfer_error(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -207,17 +267,14 @@ def symmetric_transfer_error(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> n
 
     inf when the matrix is not invertible or either direction degenerates.
     """
-    if abs(np.linalg.det(h)) < 1e-15:
-        if np.asarray(x1).ndim == 1:
-            return np.inf
-        return np.full(np.atleast_2d(x1).shape[0], np.inf)
-    return transfer_error(h, x1, x2) + transfer_error(np.linalg.inv(h), x2, x1)
+    return _residuals(_symmetric_transfer, h, x1, x2)
 
 
 def model_residuals(
     model: ModelMatrix, x1: np.ndarray, x2: np.ndarray, symmetric_transfer: bool = False
 ) -> np.ndarray:
-    """Pixel residuals of ``model`` on correspondence arrays (Sampson or transfer)."""
+    """Pixel residuals of ``model`` (one or a stack) on correspondence arrays
+    (Sampson or transfer)."""
     if model.kind == FUNDAMENTAL:
         return sampson_distance(model.m, x1, x2)
     if symmetric_transfer:
@@ -229,7 +286,8 @@ def denormalize_model(t1: np.ndarray, t2: np.ndarray, mn: ModelMatrix) -> ModelM
     """Map a model fitted in normalized coordinates back to pixel coordinates.
 
     Fundamental: F = T2^T Fn T1; homography: H = T2^{-1} Hn T1. The result is
-    re-normalized to unit Frobenius norm with the sign convention.
+    re-normalized to unit Frobenius norm with the sign convention. Takes one
+    model or a stack.
     """
     if abs(np.linalg.det(t1)) < 1e-15 or abs(np.linalg.det(t2)) < 1e-15:
         raise InvalidInputError("singular normalization transform")

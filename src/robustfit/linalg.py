@@ -27,10 +27,8 @@ def apply_sign_convention(v: np.ndarray) -> np.ndarray:
         if v[np.argmax(np.abs(v))] < 0:
             v *= -1.0
         return v
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            col *= -1.0
+    cols = np.arange(v.shape[1])
+    v[:, v[np.argmax(np.abs(v), axis=0), cols] < 0] *= -1.0
     return v
 
 

@@ -6,6 +6,12 @@ far, runs the local-optimization loop (classify inliers with the pixel
 threshold, refit on them, rescore on all points, stop on non-improvement)
 before shrinking the iteration budget from the refined inlier count.
 
+Hypotheses are made in batches: a batch of samples is drawn ahead from the
+same generator stream, solved as one stack and scored as one (K, n) residual
+block, and its candidates are then walked in draw order with the rules above.
+A budget cut inside a batch drops the rest of it, so the results, the
+iteration count and the sample digest are those of one sample at a time.
+
 Model fitting is done in Hartley-normalized coordinates on unit-scaled
 embeddings; scoring and classification use pixel residuals of the
 denormalized model. A run is fully deterministic given (data, config, seed):
@@ -36,6 +42,7 @@ from .geometry import (
     denormalize_model,
     epipolar_embeddings,
     hartley_normalize,
+    homogeneous,
     model_residuals,
     normalize_model,
     homographic_embeddings,
@@ -44,6 +51,7 @@ from .geometry import (
 from .solvers import (
     FUNDAMENTAL_SAMPLE_SIZE,
     HOMOGRAPHY_SAMPLE_SIZE,
+    Candidates,
     dlt_refit,
     fundamental_7pt,
     homography_4pt,
@@ -55,6 +63,9 @@ LO_METHODS = ("none", "dlt", "huber", "dpcp")
 
 # Sentinel budget when the inlier ratio is zero and no cap is supplied.
 _UNBOUNDED = 2**62
+
+# Most residuals (K * n) one batch of hypotheses may score at once.
+_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -77,18 +88,19 @@ class RansacConfig:
     def __post_init__(self):
         if (self.epsilon is None) == (self.sigma is None):
             raise InvalidInputError("exactly one of epsilon or sigma must be set")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise InvalidInputError("epsilon must be positive")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise InvalidInputError("sigma must be positive")
+        # Chained comparisons reject NaN as well as infinities.
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise InvalidInputError("epsilon must be positive and finite")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise InvalidInputError("sigma must be positive and finite")
         if not 0.0 < self.confidence_p < 1.0:
             raise InvalidInputError("confidence_p must lie in (0, 1)")
         if self.t_max < 1 or self.lo_k_max < 1:
             raise InvalidInputError("t_max and lo_k_max must be at least 1")
         if self.lo_method not in LO_METHODS:
             raise InvalidInputError(f"lo_method must be one of {LO_METHODS}")
-        if self.huber_c <= 0.0:
-            raise InvalidInputError("huber_c must be positive")
+        if not 0.0 < self.huber_c < math.inf:
+            raise InvalidInputError("huber_c must be positive and finite")
 
     def resolve_epsilon(self, image_size: tuple[float, float] | None) -> float:
         """Pixel threshold; ``sigma`` is scaled by the image diagonal."""
@@ -102,11 +114,24 @@ class RansacConfig:
 
 @dataclass(frozen=True)
 class ScoredModel:
+    """A scored model; for a stack of K models every field is stacked:
+    (K,) scores and counts, (K, n) residuals and masks."""
+
     model: ModelMatrix
     score: float
     residuals: np.ndarray
     inlier_mask: np.ndarray
     inlier_count: int
+
+    def row(self, k: int) -> ScoredModel:
+        """The k-th model of a stack."""
+        return ScoredModel(
+            model=ModelMatrix(self.model.m[k], self.model.kind),
+            score=float(self.score[k]),
+            residuals=self.residuals[k],
+            inlier_mask=self.inlier_mask[k],
+            inlier_count=int(self.inlier_count[k]),
+        )
 
 
 @dataclass(frozen=True)
@@ -143,12 +168,16 @@ def required_iterations(p: float, inlier_ratio: float, sample_size: int, cap: in
     return min(t, cap) if cap is not None else t
 
 
-def truncated_quadratic_score(residuals: np.ndarray, epsilon: float) -> float:
-    """Consensus score sum_i max(0, 1 - (r_i/eps)^2); inf residuals add 0."""
+def truncated_quadratic_score(residuals: np.ndarray, epsilon: float) -> float | np.ndarray:
+    """Consensus score sum_i max(0, 1 - (r_i/eps)^2); inf residuals add 0.
+
+    (n,) residuals give a float, (K, n) rows a (K,) array.
+    """
     r = np.asarray(residuals, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
         gain = 1.0 - np.square(r / epsilon)
-    return float(np.sum(np.maximum(0.0, np.where(np.isfinite(gain), gain, 0.0))))
+    total = np.sum(np.maximum(0.0, np.where(np.isfinite(gain), gain, 0.0)), axis=-1)
+    return float(total) if r.ndim == 1 else total
 
 
 def classify_inliers(residuals: np.ndarray, epsilon: float) -> np.ndarray:
@@ -195,6 +224,10 @@ class ProblemSetup:
         self.sample_size = (
             FUNDAMENTAL_SAMPLE_SIZE if problem == FUNDAMENTAL else HOMOGRAPHY_SAMPLE_SIZE
         )
+        # Most models one sample yields: the 7-point cubic has up to 3 roots.
+        self.max_models = 3 if problem == FUNDAMENTAL else 1
+        self.h1 = homogeneous(self.x1)
+        self.h2 = homogeneous(self.x2)
         self.t1, self.x1n = hartley_normalize(self.x1)
         self.t2, self.x2n = hartley_normalize(self.x2)
         # (n, 9, m) blocks: m = 1 epipolar or m = 2 homographic constraints.
@@ -203,29 +236,40 @@ class ProblemSetup:
         else:
             self.embeddings = homographic_embeddings(self.x1n, self.x2n)
 
-    def residuals(self, model: ModelMatrix) -> np.ndarray:
-        return model_residuals(model, self.x1, self.x2, self.symmetric_transfer)
-
     def score(self, model: ModelMatrix, epsilon: float) -> ScoredModel:
-        r = self.residuals(model)
+        """Score one model, or a stack of them as one (K, n) residual block."""
+        r = model_residuals(model, self.h1, self.h2, self.symmetric_transfer)
         mask = classify_inliers(r, epsilon)
+        count = np.count_nonzero(mask, axis=-1)
         return ScoredModel(
             model=model,
             score=truncated_quadratic_score(r, epsilon),
             residuals=r,
             inlier_mask=mask,
-            inlier_count=int(np.count_nonzero(mask)),
+            inlier_count=int(count) if r.ndim == 1 else count,
         )
 
-    def minimal_solve(self, indices: np.ndarray) -> list[ModelMatrix]:
-        """Run the minimal solver on a sample; models returned in pixel space."""
-        a = self.x1n[indices]
-        b = self.x2n[indices]
+    def minimal_solve(self, indices: np.ndarray) -> list[ModelMatrix] | Candidates:
+        """Run the minimal solver; models returned in pixel space.
+
+        ``indices`` is one (s,) sample, which gives its list of models or
+        raises DegenerateSampleError, or a (B, s) stack of samples, which
+        gives the Candidates of all of them in sample order.
+        """
+        samples = np.asarray(indices)
+        stack = samples if samples.ndim == 2 else samples[None]
+        a = self.x1n[stack]
+        b = self.x2n[stack]
         if self.problem == FUNDAMENTAL:
-            candidates = fundamental_7pt(a, b)
+            found = fundamental_7pt(a, b)
         else:
-            candidates = [homography_4pt(a, b)]
-        return [denormalize_model(self.t1, self.t2, m) for m in candidates]
+            found = homography_4pt(a, b)
+        found = Candidates(denormalize_model(self.t1, self.t2, found.models), found.sample)
+        if samples.ndim == 2:
+            return found
+        if not len(found):
+            raise DegenerateSampleError("degenerate minimal sample")
+        return [ModelMatrix(m, self.problem) for m in found.models.m]
 
     def refit(self, inlier_mask: np.ndarray, method: str, cfg: RansacConfig) -> ModelMatrix | None:
         """Refit a model from the masked inliers; None below 8 constraint rows."""
@@ -325,19 +369,27 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
     iterations = 0
     lo_invocations = 0
     score_history: list[float] = []
+    # Batches double from one sample, so an early budget cut wastes few
+    # draws, up to the residual block cap.
+    cap = max(1, _BLOCK // (setup.n * setup.max_models))
 
     while iterations < budget:
-        sample = draw_minimal_sample(rng, setup.n, setup.sample_size)
-        _digest_update(digest, sample)
-        iterations += 1
-        try:
-            candidates = setup.minimal_solve(sample)
-        except DegenerateSampleError:
-            continue
-        for candidate in candidates:
-            scored = setup.score(candidate, epsilon)
-            if best is not None and scored.score <= best.score:
+        size = min(budget - iterations, max(1, iterations), cap)
+        samples = np.stack(
+            [draw_minimal_sample(rng, setup.n, setup.sample_size) for _ in range(size)]
+        )
+        found = setup.minimal_solve(samples)
+        batch = setup.score(found.models, epsilon)
+        # Samples of the batch consumed so far. A sample is drawn only while
+        # the budget allows it; once drawn, all of its candidates are walked.
+        used = 0
+        for k, j in enumerate(found.sample.tolist()):
+            if j >= used and iterations + j >= budget:
+                break
+            used = j + 1
+            if best is not None and batch.score[k] <= best.score:
                 continue
+            scored = batch.row(k)
             if cfg.lo_method != "none":
                 lo_invocations += 1
                 scored = local_optimize(scored, setup, cfg, epsilon)
@@ -352,6 +404,9 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
                     cap=cfg.t_max,
                 ),
             )
+        used = max(used, min(size, budget - iterations))
+        _digest_update(digest, samples[:used])
+        iterations += used
 
     wall_ms = (time.perf_counter() - t_start) * 1e3
     report = RunReport(

@@ -7,6 +7,8 @@ sigma_{k+1} < 1e-8 * sigma_1 marks the rank boundary.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .exceptions import DegenerateSampleError, InsufficientDataError, InvalidInputError
@@ -16,9 +18,11 @@ from .geometry import (
     ModelMatrix,
     constraint_rows,
     epipolar_embeddings,
+    frobenius_norms,
     homographic_embeddings,
     normalize_model,
     unvec_model,
+    vec_model,
 )
 from .linalg import least_singular_vector, solve_cubic_real
 
@@ -28,91 +32,124 @@ FUNDAMENTAL_SAMPLE_SIZE = 7
 HOMOGRAPHY_SAMPLE_SIZE = 4
 
 
-def fundamental_7pt(x1h: np.ndarray, x2h: np.ndarray) -> list[ModelMatrix]:
+@dataclass(frozen=True)
+class Candidates:
+    """Models solved from a (B, s) stack of minimal samples, in sample order."""
+
+    models: ModelMatrix  # (K, 3, 3) stack
+    sample: np.ndarray  # (K,) index of the sample each model came from
+
+    def __len__(self) -> int:
+        return len(self.sample)
+
+
+def _stacked(x1h: np.ndarray, x2h: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    x1s, x2s = (np.asarray(x, dtype=np.float64) for x in (x1h, x2h))
+    if x1s.ndim == 2:
+        x1s, x2s = x1s[None], x2s[None]
+    if x1s.shape[1:] != (size, 3) or x2s.shape != x1s.shape:
+        raise InvalidInputError(f"the {size}-point solver needs exactly {size} correspondences")
+    return x1s, x2s
+
+
+def fundamental_7pt(x1h: np.ndarray, x2h: np.ndarray) -> list[ModelMatrix] | Candidates:
     """7-point fundamental-matrix solver.
 
     Parameters
     ----------
-    x1h, x2h : (7, 3) homogeneous points (third coordinate 1), normalized.
+    x1h, x2h : (7, 3) homogeneous points (third coordinate 1), normalized,
+        or (B, 7, 3) stacks of B samples.
 
     Returns
     -------
-    1 to 3 unit-Frobenius rank-2 candidates. The stacked constraint matrix
-    must have a 2-dimensional nullspace {F1, F2}; each real root of the cubic
-    det(a*F1 + (1-a)*F2) = 0 yields one candidate.
+    For one sample, 1 to 3 unit-Frobenius rank-2 candidates. The stacked
+    constraint matrix must have a 2-dimensional nullspace {F1, F2}; each real
+    root of the cubic det(a*F1 + (1-a)*F2) = 0 yields one candidate. For a
+    stack, the candidates of all samples; a degenerate sample adds none.
 
     Raises
     ------
-    DegenerateSampleError : rank-deficient sample (caller should resample).
+    DegenerateSampleError : one rank-deficient sample (caller should resample).
     """
-    if x1h.shape[0] != 7 or x2h.shape[0] != 7:
-        raise InvalidInputError("the 7-point solver needs exactly 7 correspondences")
-    a = epipolar_embeddings(x1h, x2h).T  # (7, 9)
+    x1s, x2s = _stacked(x1h, x2h, 7)
+    b = x1s.shape[0]
+    a = epipolar_embeddings(x1s.reshape(-1, 3), x2s.reshape(-1, 3)).T.reshape(b, 7, 9)
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    if s[6] < _RANK_GAP * s[0]:
-        raise DegenerateSampleError("7-point sample is rank-deficient")
+    full_rank = ~(s[:, 6] < _RANK_GAP * s[:, 0])
 
-    f1 = unvec_model(vt[7])
-    f2 = unvec_model(vt[8])
+    f1 = vt[:, 7]
+    f2 = vt[:, 8]
+    m1 = unvec_model(f1)
+    m2 = unvec_model(f2)
 
     # det(a*F1 + (1-a)*F2) is cubic in a; recover its coefficients by
     # interpolation at a = 0, 1, -1, 2 (exact for a cubic).
-    d0 = np.linalg.det(f2)
-    d1 = np.linalg.det(f1)
-    dm1 = np.linalg.det(-f1 + 2.0 * f2)
-    d2 = np.linalg.det(2.0 * f1 - f2)
+    d0 = np.linalg.det(m2)
+    d1 = np.linalg.det(m1)
+    dm1 = np.linalg.det(-m1 + 2.0 * m2)
+    d2 = np.linalg.det(2.0 * m1 - m2)
     c0 = d0
     c2 = 0.5 * (d1 + dm1) - d0
     c3 = (d2 - 4.0 * c2 - c0 - d1 + dm1) / 6.0
     c1 = 0.5 * (d1 - dm1) - c3
 
-    try:
-        alphas = solve_cubic_real(c3, c2, c1, c0)
-    except Exception as exc:
-        raise DegenerateSampleError("degenerate determinant polynomial") from exc
-    if not alphas:
-        raise DegenerateSampleError("determinant polynomial has no real roots")
-
-    candidates = []
-    for alpha in alphas:
-        f = alpha * f1 + (1.0 - alpha) * f2
-        norm = np.linalg.norm(f)
-        if norm < 1e-12:
+    # The roots stay one cubic per sample; a failing cubic marks its sample
+    # degenerate.
+    owners: list[int] = []
+    alphas: list[float] = []
+    for j in np.flatnonzero(full_rank):
+        try:
+            roots = solve_cubic_real(c3[j], c2[j], c1[j], c0[j])
+        except Exception:
             continue
-        model = normalize_model(f, FUNDAMENTAL)
-        if abs(np.linalg.det(model.m)) <= 1e-9:
-            candidates.append(model)
-    if not candidates:
-        raise DegenerateSampleError("no rank-2 candidate from the cubic roots")
-    return candidates
+        owners.extend([j] * len(roots))
+        alphas.extend(roots)
+    owner = np.array(owners, dtype=np.int64)
+    alpha = np.array(alphas, dtype=np.float64)[:, None]
+    f = alpha * f1[owner] + (1.0 - alpha) * f2[owner]
+    keep = ~(frobenius_norms(unvec_model(f)) < 1e-12)
+    owner = owner[keep]
+    models = normalize_model(unvec_model(f[keep]), FUNDAMENTAL).m
+    rank2 = np.abs(np.linalg.det(models)) <= 1e-9
+    found = Candidates(ModelMatrix(unvec_model(vec_model(models)[rank2]), FUNDAMENTAL),
+                       owner[rank2])
+    if np.ndim(x1h) == 3:
+        return found
+    if not len(found):
+        raise DegenerateSampleError("degenerate 7-point sample")
+    return [ModelMatrix(m, FUNDAMENTAL) for m in found.models.m]
 
 
-def _has_collinear_triple(xh: np.ndarray) -> bool:
-    """True when any 3 of the 4 homogeneous points are (near-)collinear."""
-    for i in range(2):
-        for j in range(i + 1, 3):
-            for k in range(j + 1, 4):
-                if abs(np.linalg.det(xh[[i, j, k]])) < 1e-9:
-                    return True
-    return False
+# The four ways to pick 3 of a sample's 4 points.
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
-def homography_4pt(x1h: np.ndarray, x2h: np.ndarray) -> ModelMatrix:
+def homography_4pt(x1h: np.ndarray, x2h: np.ndarray) -> ModelMatrix | Candidates:
     """4-point homography solver (DLT on the 8 stacked constraint rows).
 
-    Raises DegenerateSampleError for 3 collinear points in either view (the
-    solution is not unique there even when the 8x9 system keeps rank 8) and
-    for any other rank-deficient sample.
+    ``x1h, x2h`` are (4, 3) normalized homogeneous points, or (B, 4, 3)
+    stacks. A sample is degenerate with 3 collinear points in either view (the
+    solution is not unique there even when the 8x9 system keeps rank 8) or
+    any other rank deficiency: one sample then raises DegenerateSampleError,
+    and in a stack it adds no model.
     """
-    if x1h.shape[0] != 4 or x2h.shape[0] != 4:
-        raise InvalidInputError("the 4-point solver needs exactly 4 correspondences")
-    if _has_collinear_triple(x1h) or _has_collinear_triple(x2h):
-        raise DegenerateSampleError("3 collinear points in one view")
-    a, _ = constraint_rows(homographic_embeddings(x1h, x2h))  # (8, 9)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    if s[7] < _RANK_GAP * s[0]:
-        raise DegenerateSampleError("4-point sample is rank-deficient")
-    return normalize_model(unvec_model(vt[8]), HOMOGRAPHY)
+    x1s, x2s = _stacked(x1h, x2h, 4)
+    b = x1s.shape[0]
+    collinear = np.zeros(b, dtype=bool)
+    for xs in (x1s, x2s):
+        collinear |= np.any(np.abs(np.linalg.det(xs[:, _TRIPLES])) < 1e-9, axis=1)
+    sample = np.flatnonzero(~collinear)
+    blocks = homographic_embeddings(x1s[sample].reshape(-1, 3), x2s[sample].reshape(-1, 3))
+    a, _ = constraint_rows(blocks)  # (8 * len(sample), 9)
+    _, s, vt = np.linalg.svd(a.reshape(-1, 8, 9), full_matrices=True)
+    full_rank = ~(s[:, 7] < _RANK_GAP * s[:, 0])
+    models = normalize_model(unvec_model(vt[full_rank, 8]), HOMOGRAPHY)
+    found = Candidates(models, sample[full_rank])
+    if np.ndim(x1h) == 3:
+        return found
+    if not len(found):
+        raise DegenerateSampleError("degenerate 4-point sample")
+    return ModelMatrix(found.models.m[0], HOMOGRAPHY)
 
 
 def dlt_refit(blocks: np.ndarray) -> np.ndarray:

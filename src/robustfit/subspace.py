@@ -13,6 +13,8 @@ value at the initial point and after each update.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +40,10 @@ class IrlsConfig:
     weight_floor: float = 1e-9
 
     def __post_init__(self):
-        if self.tau_max < 1 or self.tol <= 0.0 or self.weight_floor <= 0.0:
-            raise InvalidInputError("tau_max >= 1, tol > 0 and weight_floor > 0 required")
+        if self.tau_max < 1 or not 0.0 < self.tol < math.inf or not 0.0 < self.weight_floor < math.inf:
+            raise InvalidInputError(
+                "tau_max >= 1 and finite tol > 0 and weight_floor > 0 required"
+            )
 
 
 def smoothed_abs(r: np.ndarray, delta: float) -> np.ndarray:

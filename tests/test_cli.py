@@ -85,6 +85,14 @@ def test_estimate_usage_error_on_double_threshold(synth_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("threshold", [("--epsilon", "nan"), ("--sigma", "inf")])
+def test_estimate_non_finite_threshold_usage_error(synth_file, capsys, threshold):
+    path, _ = synth_file
+    code, out, _ = run_cli(capsys, "estimate", "--input", str(path), *threshold)
+    assert code == 2
+    assert out == ""
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.rf"
     bad.write_text("# not a header\n1 2 3 4\n")

@@ -1,6 +1,7 @@
 """Golden outputs: ``run_ransac`` and the LO refit solvers, compared bit for bit.
 
-``golden_ransac.json`` records, for 320 seeded runs, the model bytes, score,
+``golden_ransac.json`` records, for 320 seeded runs and 22 coverage runs
+(``COVERAGE``), the model bytes, score,
 inlier count, iteration and LO counts, sample digest and score history, plus
 the raw outputs (vector and objective trace) of the refit solvers on seeded
 embeddings. A refactor must reproduce every entry exactly.
@@ -14,6 +15,7 @@ that change says so in CHANGES.md. To regenerate it from the repository root:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,15 +57,13 @@ def _scene(problem: str, n_in: int, n_out: int, seed: int):
     return synth_dataset(SynthConfig(problem, n_in, n_out, noise_sigma=NOISE_PX, seed=seed))
 
 
-def run_record(scene: str, scene_seed: int, method: str) -> list[dict]:
-    """One entry per RANSAC seed for a scene and LO method."""
-    _, problem, n_in, n_out = next(s for s in SCENES if s[0] == scene)
-    ds = _scene(problem, n_in, n_out, scene_seed)
+def _records(problem: str, x1, x2, image_size, method: str, seeds, **options) -> list[dict]:
+    """One entry per RANSAC seed."""
     out = []
-    for seed in RANSAC_SEEDS:
-        cfg = RansacConfig(epsilon=EPSILON_PX, lo_method=method, seed=seed)
+    for seed in seeds:
+        cfg = RansacConfig(epsilon=EPSILON_PX, lo_method=method, seed=seed, **options)
         try:
-            report = run_ransac(problem, ds.x1, ds.x2, cfg, ds.image_size)
+            report = run_ransac(problem, x1, x2, cfg, image_size)
         except EstimationFailedError as exc:
             report = exc.report
         best = report.best
@@ -78,6 +78,48 @@ def run_record(scene: str, scene_seed: int, method: str) -> list[dict]:
             "score_history": [s.hex() for s in report.score_history],
         })
     return out
+
+
+def run_record(scene: str, scene_seed: int, method: str) -> list[dict]:
+    """One entry per RANSAC seed for a scene and LO method."""
+    _, problem, n_in, n_out = next(s for s in SCENES if s[0] == scene)
+    ds = _scene(problem, n_in, n_out, scene_seed)
+    return _records(problem, ds.x1, ds.x2, ds.image_size, method, RANSAC_SEEDS)
+
+
+def _degenerate_scene(problem: str, n_in: int, n_out: int, seed: int):
+    """A scene whose samples often trip the degeneracy guards: 30 points on
+    one line in both views, mapped affinely along it, and 10 repeated points."""
+    ds = _scene(problem, n_in, n_out, seed)
+    x1, x2 = ds.x1.copy(), ds.x2.copy()
+    t = np.linspace(0.0, 1.0, 30)[:, None]
+    x1[:30] = [100.0, 80.0] + t * [400.0, 300.0]
+    x2[:30] = [120.0, 60.0] + t * [350.0, 320.0]
+    x1[30:40], x2[30:40] = x1[40:50], x2[40:50]
+    return replace(ds, x1=x1, x2=x2)
+
+
+# Paths the runs above barely reach: a budget that never shrinks (F with 20 %
+# inliers under a 2 000 cap), symmetric transfer scoring, and samples that hit
+# the collinearity and rank guards.
+# (key, problem, scene builder, inliers, outliers, scene seeds, LO methods,
+#  RANSAC seeds, RansacConfig options)
+COVERAGE = (
+    ("F60/240/t_max=2000", FUNDAMENTAL, _scene, 60, 240, range(2), ("none", "dpcp"), range(1),
+     {"t_max": 2000}),
+    ("H100/100/symmetric", HOMOGRAPHY, _scene, 100, 100, range(1), ("none", "dpcp"), range(3),
+     {"symmetric_transfer": True}),
+    ("F50/50/degenerate", FUNDAMENTAL, _degenerate_scene, 50, 50, range(1), ("none", "dpcp"),
+     range(3), {}),
+    ("H40/60/degenerate", HOMOGRAPHY, _degenerate_scene, 40, 60, range(1), ("none", "dpcp"),
+     range(3), {}),
+)
+
+
+def coverage_record(case: str, scene_seed: int, method: str) -> list[dict]:
+    _, problem, build, n_in, n_out, _, _, seeds, options = next(c for c in COVERAGE if c[0] == case)
+    ds = build(problem, n_in, n_out, scene_seed)
+    return _records(problem, ds.x1, ds.x2, ds.image_size, method, seeds, **options)
 
 
 def _solver_inputs() -> dict[str, np.ndarray]:
@@ -110,6 +152,12 @@ def solver_record(case: str) -> dict:
 
 def generate() -> dict:
     return {
+        "coverage": {
+            f"{case}/{scene_seed}/{method}": coverage_record(case, scene_seed, method)
+            for case, *_, scene_seeds, methods, _, _ in COVERAGE
+            for scene_seed in scene_seeds
+            for method in methods
+        },
         "runs": {
             f"{scene}/{scene_seed}/{method}": run_record(scene, scene_seed, method)
             for scene, *_ in SCENES
@@ -131,6 +179,15 @@ def test_run_ransac_matches_golden(golden, scene, method):
     for scene_seed in SCENE_SEEDS:
         key = f"{scene}/{scene_seed}/{method}"
         assert run_record(scene, scene_seed, method) == golden["runs"][key], key
+
+
+@pytest.mark.parametrize("case", [c[0] for c in COVERAGE])
+def test_coverage_run_matches_golden(golden, case):
+    _, _, _, _, _, scene_seeds, methods, _, _ = next(c for c in COVERAGE if c[0] == case)
+    for scene_seed in scene_seeds:
+        for method in methods:
+            key = f"{case}/{scene_seed}/{method}"
+            assert coverage_record(case, scene_seed, method) == golden["coverage"][key], key
 
 
 @pytest.mark.parametrize("case", [c[0] for c in SOLVER_CASES])

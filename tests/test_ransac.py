@@ -20,6 +20,7 @@ from robustfit.ransac import (
     sample_stream_digest,
     truncated_quadratic_score,
 )
+from robustfit.subspace import IrlsConfig
 from robustfit.synth import SynthConfig, synth_dataset
 
 
@@ -230,3 +231,23 @@ def test_config_validation():
         RansacConfig(epsilon=1.0, lo_method="newton")
     with pytest.raises(InvalidInputError):
         RansacConfig(sigma=0.01).resolve_epsilon(None)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("config, options", [
+    (RansacConfig, {"epsilon": NAN}),
+    (RansacConfig, {"epsilon": INF}),
+    (RansacConfig, {"sigma": NAN}),
+    (RansacConfig, {"sigma": INF}),
+    (RansacConfig, {"epsilon": 1.0, "huber_c": NAN}),
+    (RansacConfig, {"epsilon": 1.0, "huber_c": INF}),
+    (IrlsConfig, {"tol": NAN}),
+    (IrlsConfig, {"tol": INF}),
+    (IrlsConfig, {"weight_floor": NAN}),
+    (IrlsConfig, {"weight_floor": INF}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()))
+def test_non_finite_config_rejected(config, options):
+    with pytest.raises(InvalidInputError):
+        config(**options)

@@ -16,9 +16,9 @@ from robustfit.geometry import (
     normalize_model,
     vec_model,
 )
-from robustfit.ransac import ProblemSetup
+from robustfit.ransac import ProblemSetup, draw_minimal_sample
 from robustfit.solvers import dlt_refit, fundamental_7pt, homography_4pt, rank2_project
-from robustfit.synth import SynthConfig, synth_fundamental, synth_homography
+from robustfit.synth import SynthConfig, synth_dataset, synth_fundamental, synth_homography
 
 
 def solve_7pt_pixel(x1, x2):
@@ -140,3 +140,52 @@ def test_rank2_project_determinant():
     for _ in range(20):
         model = normalize_model(rng.normal(size=(3, 3)), FUNDAMENTAL)
         assert abs(np.linalg.det(rank2_project(model).m)) <= 1e-12
+
+
+@pytest.mark.parametrize("problem, n_in, n_out, symmetric, count", [
+    (FUNDAMENTAL, 50, 50, False, 200),
+    (HOMOGRAPHY, 40, 60, False, 200),
+    (HOMOGRAPHY, 40, 60, True, 200),
+    # n = 9 000 and 10 000: 2**14 // n == 1, so the (K, n) block of a stack is
+    # wider than the cap a run puts on one batch.
+    (FUNDAMENTAL, 4500, 4500, False, 8),
+    (HOMOGRAPHY, 5000, 5000, True, 8),
+])
+def test_stacked_solve_and_score_equal_single_calls(problem, n_in, n_out, symmetric, count):
+    """A stack of samples gives every sample the bytes it gets alone: its
+    candidates, whether it is degenerate, and every candidate's score,
+    residuals and inlier count."""
+    ds = synth_dataset(SynthConfig(problem, n_in, n_out, noise_sigma=1.0, seed=4))
+    x1, x2 = ds.x1.copy(), ds.x2.copy()
+    # 30 points on one line in both views and 10 repeated points.
+    t = np.linspace(0.0, 1.0, 30)[:, None]
+    x1[:30] = [100.0, 80.0] + t * [400.0, 300.0]
+    x2[:30] = [120.0, 60.0] + t * [350.0, 320.0]
+    x1[30:40], x2[30:40] = x1[40:50], x2[40:50]
+    setup = ProblemSetup(problem, x1, x2, symmetric_transfer=symmetric)
+    rng = np.random.default_rng(7)
+    samples = np.stack(
+        [draw_minimal_sample(rng, setup.n, setup.sample_size) for _ in range(count)]
+    )
+    samples[0] = np.arange(setup.sample_size)  # all on the line
+    samples[1] = np.arange(30, 30 + setup.sample_size)
+    samples[1, -1] = 40  # the same point as index 30
+    found = setup.minimal_solve(samples)
+    batch = setup.score(found.models, 3.0)
+    assert len(found) * setup.n > 2**14
+    degenerate = []
+    for j, sample in enumerate(samples):
+        try:
+            single = setup.minimal_solve(sample)
+        except DegenerateSampleError:
+            single = []
+        degenerate.append(not single)
+        mine = np.flatnonzero(found.sample == j)
+        assert len(mine) == len(single)
+        for k, model in zip(mine, single):
+            assert found.models.m[k].tobytes() == model.m.tobytes()
+            scored = setup.score(model, 3.0)
+            assert batch.score[k].hex() == scored.score.hex()
+            assert batch.residuals[k].tobytes() == scored.residuals.tobytes()
+            assert batch.inlier_count[k] == scored.inlier_count
+    assert degenerate[0] and degenerate[1] and not all(degenerate)
