@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import EstimationFailedError, InvalidInputError
 from .fileio import BenchRecord, CorrespondenceFile, csv_safe
 from .geometry import model_residuals
-from .ransac import LO_METHODS, RansacConfig, RunReport, run_ransac
+from .ransac import LO_METHODS, RansacConfig, RunReport, check_seed, run_ransac
 
 HUBER_SWEEP = (0.1, 0.01, 0.001)
 
@@ -119,6 +119,7 @@ def run_bench(
     """Full sweep: one record per (dataset, method, sigma, trial)."""
     if not datasets or not methods or not sigmas or trials < 1:
         raise InvalidInputError("datasets, methods, sigmas and trials must be non-empty")
+    check_seed(master_seed)
     for method in methods:
         if method not in LO_METHODS:
             raise InvalidInputError(f"unknown method {method!r}")
@@ -178,6 +179,8 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
 def select_thresholds(records: list[BenchRecord], tolerance: float = 0.01) -> dict[str, dict]:
     """Per-method threshold choice: fastest sigma whose mean error is within
     ``tolerance`` (relative) of that method's minimum mean error."""
+    if not 0.0 <= tolerance < np.inf:
+        raise InvalidInputError(f"tolerance must be non-negative and finite, got {tolerance!r}")
     summary = summarize(records)
     by_method: dict[str, list[dict]] = {}
     for cell in summary:

@@ -214,10 +214,7 @@ def _residuals(kernel, m: np.ndarray, x1: np.ndarray, x2: np.ndarray):
 def _sampson(f: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     fx1 = h1 @ np.swapaxes(f, 1, 2)  # rows: F @ x1_i
     ftx2 = h2 @ f  # rows: F^T @ x2_i
-    k, n = fx1.shape[:2]
-    # One (K*n, 3) row product, so every row takes einsum's single-model path.
-    num = np.abs(np.einsum("ij,ij->i", np.broadcast_to(h2, fx1.shape).reshape(k * n, 3),
-                           fx1.reshape(k * n, 3))).reshape(k, n)
+    num = np.abs(np.einsum("kni,ni->kn", fx1, h2))
     den = np.sqrt(fx1[..., 0] ** 2 + fx1[..., 1] ** 2 + ftx2[..., 0] ** 2 + ftx2[..., 1] ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den >= 1e-15, num / np.where(den >= 1e-15, den, 1.0), np.inf)

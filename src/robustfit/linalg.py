@@ -18,15 +18,11 @@ _SYM_TOL = 1e-12
 
 
 def apply_sign_convention(v: np.ndarray) -> np.ndarray:
-    """Flip ``v`` (in place) so its largest-magnitude entry is non-negative.
+    """Flip each column of the (d, k) matrix ``v`` (in place) so its
+    largest-magnitude entry is non-negative.
 
     Ties are broken by the lowest index, which is what ``argmax`` returns.
-    Works on vectors and on matrices (each column treated independently).
     """
-    if v.ndim == 1:
-        if v[np.argmax(np.abs(v))] < 0:
-            v *= -1.0
-        return v
     cols = np.arange(v.shape[1])
     v[:, v[np.argmax(np.abs(v), axis=0), cols] < 0] *= -1.0
     return v
@@ -86,8 +82,7 @@ def least_singular_vector(a: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"expected a non-empty 2-d matrix, got shape {a.shape}")
     if a.shape[1] < 2:
         raise InvalidInputError("need at least 2 columns")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix contains non-finite entries")
+    # least_eigvecs rejects a non-finite Gram matrix, hence a non-finite ``a``.
     return least_eigvecs(a.T @ a, 1)[:, 0]
 
 

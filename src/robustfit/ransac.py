@@ -57,7 +57,8 @@ from .solvers import (
     homography_4pt,
     rank2_project,
 )
-from .subspace import IrlsConfig, dpcp_irls, dpcp_irls_group, huber_irls
+# Nothing here calls dpcp_irls; it stays for the tracer, which wraps it in this namespace.
+from .subspace import IrlsConfig, dpcp_irls, dpcp_irls_group, huber_irls  # noqa: F401
 
 LO_METHODS = ("none", "dlt", "huber", "dpcp")
 
@@ -101,6 +102,7 @@ class RansacConfig:
             raise InvalidInputError(f"lo_method must be one of {LO_METHODS}")
         if not 0.0 < self.huber_c < math.inf:
             raise InvalidInputError("huber_c must be positive and finite")
+        check_seed(self.seed)
 
     def resolve_epsilon(self, image_size: tuple[float, float] | None) -> float:
         """Pixel threshold; ``sigma`` is scaled by the image diagonal."""
@@ -221,19 +223,19 @@ class ProblemSetup:
             raise InvalidInputError("x1 and x2 must both have shape (n, 2)")
         self.n = self.x1.shape[0]
         self.image_size = image_size
-        self.sample_size = (
-            FUNDAMENTAL_SAMPLE_SIZE if problem == FUNDAMENTAL else HOMOGRAPHY_SAMPLE_SIZE
-        )
-        # Most models one sample yields: the 7-point cubic has up to 3 roots.
-        self.max_models = 3 if problem == FUNDAMENTAL else 1
         self.h1 = homogeneous(self.x1)
         self.h2 = homogeneous(self.x2)
         self.t1, self.x1n = hartley_normalize(self.x1)
         self.t2, self.x2n = hartley_normalize(self.x2)
-        # (n, 9, m) blocks: m = 1 epipolar or m = 2 homographic constraints.
+        # The one per-problem branch. Kernels are bound per instance, so a
+        # tracer that wrapped the module globals before the run reaches them.
         if problem == FUNDAMENTAL:
+            self.sample_size, self.max_models = FUNDAMENTAL_SAMPLE_SIZE, 3  # <= 3 cubic roots
+            self.solver, self.constrain = fundamental_7pt, rank2_project
             self.embeddings = epipolar_embeddings(self.x1n, self.x2n).T[:, :, None]
         else:
+            self.sample_size, self.max_models = HOMOGRAPHY_SAMPLE_SIZE, 1
+            self.solver, self.constrain = homography_4pt, None
             self.embeddings = homographic_embeddings(self.x1n, self.x2n)
 
     def score(self, model: ModelMatrix, epsilon: float) -> ScoredModel:
@@ -258,12 +260,7 @@ class ProblemSetup:
         """
         samples = np.asarray(indices)
         stack = samples if samples.ndim == 2 else samples[None]
-        a = self.x1n[stack]
-        b = self.x2n[stack]
-        if self.problem == FUNDAMENTAL:
-            found = fundamental_7pt(a, b)
-        else:
-            found = homography_4pt(a, b)
+        found = self.solver(self.x1n[stack], self.x2n[stack])
         found = Candidates(denormalize_model(self.t1, self.t2, found.models), found.sample)
         if samples.ndim == 2:
             return found
@@ -281,15 +278,13 @@ class ProblemSetup:
         elif method == "huber":
             v = huber_irls(data, cfg.huber_c, cfg.irls)
         elif method == "dpcp":
-            if self.problem == FUNDAMENTAL:
-                v = dpcp_irls(data, cfg.irls)
-            else:
-                v = dpcp_irls_group(data, cfg.irls)
+            # On (n, 9, 1) epipolar blocks this is the _irls call of dpcp_irls.
+            v = dpcp_irls_group(data, cfg.irls)
         else:
             raise InvalidInputError(f"unknown refit method {method!r}")
         model = normalize_model(unvec_model(v), self.problem)
-        if self.problem == FUNDAMENTAL:
-            model = rank2_project(model)
+        if self.constrain is not None:
+            model = self.constrain(model)
         return denormalize_model(self.t1, self.t2, model)
 
 
@@ -300,17 +295,21 @@ def local_optimize(scored: ScoredModel, setup: ProblemSetup, cfg: RansacConfig,
     Returns the best scored model seen, never worse than the input.
     """
     best = scored
-    current = scored
     for _ in range(cfg.lo_k_max):
-        refit = setup.refit(classify_inliers(current.residuals, epsilon), cfg.lo_method, cfg)
+        refit = setup.refit(classify_inliers(best.residuals, epsilon), cfg.lo_method, cfg)
         if refit is None:
             break
         rescored = setup.score(refit, epsilon)
         if rescored.score <= best.score:
             break
         best = rescored
-        current = rescored
     return best
+
+
+def check_seed(seed) -> None:
+    """Reject a negative or non-integer seed, which ``np.random.SeedSequence`` refuses."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _seed_rng(seed: int) -> np.random.Generator:

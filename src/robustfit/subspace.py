@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import InsufficientDataError, InvalidInputError
 from .geometry import constraint_rows
-from .linalg import least_eigvecs, top_eigvecs
+from .linalg import apply_sign_convention, least_eigvecs, top_eigvecs
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,16 @@ def _irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | None,
         loss = smoothed_abs(r, delta) if c_huber is None else huber_loss(r, c_huber)
         return r, float(np.sum(loss))
 
+    # Only this first update validates (a NaN or inf in the data reaches
+    # rows^T rows); the reweighted ones are a bare eigh on the same rows.
     basis = least_eigvecs(rows.T @ rows, codim)
     resid, obj = objective(basis)
     if trace is not None:
         trace.append(obj)
     for _ in range(cfg.tau_max):
         w_rows = np.repeat(weights(resid), m)
-        basis = least_eigvecs((rows * w_rows[:, None]).T @ rows, codim)
+        _, vecs = np.linalg.eigh((rows * w_rows[:, None]).T @ rows)
+        basis = apply_sign_convention(np.ascontiguousarray(vecs[:, :codim]))
         resid, new_obj = objective(basis)
         if trace is not None:
             trace.append(new_obj)

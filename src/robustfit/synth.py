@@ -26,6 +26,7 @@ from .geometry import (
     sampson_distance,
     transfer_error,
 )
+from .ransac import check_seed
 from .solvers import FUNDAMENTAL_SAMPLE_SIZE, HOMOGRAPHY_SAMPLE_SIZE
 
 _MAX_SCENE_TRIES = 64
@@ -59,6 +60,7 @@ class SynthConfig:
             raise InvalidInputError("image_size must be positive")
         if self.degenerate_planar and self.problem != FUNDAMENTAL:
             raise InvalidInputError("degenerate_planar applies to fundamental scenes only")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,12 @@ def test_bench_rejects_unlabeled_and_empty_sweeps():
         run_bench([("ds", data)], ["lmeds"], [0.0025], 2, 0)
 
 
+@pytest.mark.parametrize("master_seed", [-1, 1.5])
+def test_bench_rejects_bad_master_seed(master_seed):
+    with pytest.raises(InvalidInputError):
+        run_bench([("ds", make_dataset())], ["none"], [0.0025], 1, master_seed)
+
+
 @pytest.mark.parametrize(
     "dataset_id",
     ["a,b", "a\nb", "a\r", "a\x0bb", "caf\u00e9"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from robustfit.cli import main
-from robustfit.fileio import parse_correspondences, parse_records
+from robustfit.fileio import BenchRecord, parse_correspondences, parse_records, write_records
 
 
 def run_cli(capsys, *argv):
@@ -201,3 +201,28 @@ def test_bench_bad_sigma_list_usage_error(tmp_path, synth_file, capsys):
         "--out", str(tmp_path / "o.csv"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "bench", "synth"])
+def test_negative_seed_usage_error(tmp_path, synth_file, capsys, command):
+    path, _ = synth_file
+    args = {
+        "estimate": ["--input", str(path), "--epsilon", "2"],
+        "bench": ["--input", str(path), "--sigmas", "0.01", "--methods", "none",
+                  "--out", str(tmp_path / "o.csv")],
+        "synth": ["--problem", "homography", "--inliers", "20", "--out", str(tmp_path / "s.rf")],
+    }[command]
+    code, out, err = run_cli(capsys, command, *args, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("robustfit: ")
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "-0.5", "nan", "inf"])
+def test_select_bad_tolerance_usage_error(tmp_path, capsys, tolerance):
+    csv_path = tmp_path / "bench.csv"
+    write_records(csv_path, [BenchRecord("ds", "dpcp", 0.005, 0, 0, 1.0, 50, 100, 3, 50.0)])
+    code, out, err = run_cli(capsys, "select", "--input", str(csv_path), "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("robustfit: ")

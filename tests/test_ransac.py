@@ -251,3 +251,14 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_config_rejected(config, options):
     with pytest.raises(InvalidInputError):
         config(**options)
+
+
+@pytest.mark.parametrize("config, options", [
+    (RansacConfig, {"epsilon": 1.0, "seed": -1}),
+    (RansacConfig, {"epsilon": 1.0, "seed": 1.5}),
+    (SynthConfig, {"problem": HOMOGRAPHY, "n_inliers": 20, "seed": -1}),
+    (SynthConfig, {"problem": HOMOGRAPHY, "n_inliers": 20, "seed": 1.5}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else f"seed={v['seed']}")
+def test_bad_seed_rejected(config, options):
+    with pytest.raises(InvalidInputError):
+        config(**options)

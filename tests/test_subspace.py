@@ -84,6 +84,17 @@ def test_dpcp_insufficient_data():
         dpcp_irls(rng.normal(size=(9, 7)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solver", [
+    dpcp_irls, dpcp_irls_group, lambda y: huber_irls(y, 0.01), dpcp_irls_basis,
+], ids=["dpcp_irls", "dpcp_irls_group", "huber_irls", "dpcp_irls_basis"])
+def test_non_finite_data_rejected(solver, bad):
+    y, _ = hyperplane_data(np.random.default_rng(6), 9, 40, 10)
+    y[3, 17] = bad
+    with pytest.raises(InvalidInputError):
+        solver(y)
+
+
 def test_group_exact_homography_blocks():
     ds = synth_homography(SynthConfig(HOMOGRAPHY, n_inliers=60, seed=4))
     t1, x1n = hartley_normalize(ds.x1)
