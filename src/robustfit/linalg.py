@@ -9,6 +9,8 @@ estimates are bit-reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import InvalidInputError
@@ -96,14 +98,21 @@ def solve_cubic_real(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     |p(r)| <= 1e-9 * max(1, |r|^3 * max|c_i|) holds across random
     coefficient draws.
 
+    The arithmetic runs on Python floats and gives the bits numpy float64
+    scalars give: IEEE operations, ``math.sqrt`` and ``math.cos`` agree with
+    numpy on this kernel's inputs, while the cube root and arccos stay
+    ``np.cbrt`` and ``np.arccos``, which ``math.cbrt`` and ``math.acos`` do
+    not always match.
+
     Raises
     ------
-    InvalidInputError : all four coefficients are zero.
+    InvalidInputError : a non-finite coefficient, all four coefficients zero,
+        or a depressed cubic t^3 + p*t + q whose p or q overflows.
     """
-    coeffs = np.array([c3, c2, c1, c0], dtype=np.float64)
-    if not np.all(np.isfinite(coeffs)):
+    c3, c2, c1, c0 = float(c3), float(c2), float(c1), float(c0)
+    if not (math.isfinite(c3) and math.isfinite(c2) and math.isfinite(c1) and math.isfinite(c0)):
         raise InvalidInputError("non-finite coefficient")
-    if np.all(coeffs == 0.0):
+    if c3 == 0.0 and c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
         raise InvalidInputError("all coefficients are zero")
 
     if c3 == 0.0:
@@ -125,7 +134,7 @@ def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
     if disc == 0.0:
         return [-b / (2.0 * a)]
     # Citardauq form: avoids cancellation when b dominates.
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b if b != 0.0 else 1.0))
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
     r1 = q / a
     r2 = c / q if q != 0.0 else -b / a - r1
     return [r1, r2]
@@ -139,27 +148,38 @@ def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     d = c0 / c3
     shift = b / 3.0
     p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
+    try:
+        q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
+    except OverflowError:  # a float power raises where a float64 one gives inf
+        q = math.inf
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise InvalidInputError("the depressed cubic overflows")
 
     if p == 0.0 and q == 0.0:
         return [-shift]
 
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    try:
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    except OverflowError:
+        # Finite p and q can still overflow here; float64 powers give the
+        # infinities (and the roots) the float64 kernel gave.
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = float(np.float64(q / 2.0) ** 2 + np.float64(p / 3.0) ** 3)
     if disc > 0.0:
         # One real root (Cardano, sign-stable).
-        sq = np.sqrt(disc)
-        u = np.cbrt(-q / 2.0 + sq)
-        v = np.cbrt(-q / 2.0 - sq)
+        sq = math.sqrt(disc)
+        u = float(np.cbrt(-q / 2.0 + sq))
+        v = float(np.cbrt(-q / 2.0 - sq))
         return [u + v - shift]
     if disc == 0.0:
         # Repeated roots: one single, one double.
-        u = np.cbrt(-q / 2.0)
+        u = float(np.cbrt(-q / 2.0))
         return [2.0 * u - shift, -u - shift]
     # Three distinct real roots: trigonometric method (p < 0 here).
-    m = 2.0 * np.sqrt(-p / 3.0)
-    arg = np.clip(3.0 * q / (p * m), -1.0, 1.0)
-    theta = np.arccos(arg) / 3.0
-    return [m * np.cos(theta - 2.0 * np.pi * i / 3.0) - shift for i in range(3)]
+    m = 2.0 * math.sqrt(-p / 3.0)
+    arg = min(max(3.0 * q / (p * m), -1.0), 1.0)  # keeps NaN, as np.clip does
+    theta = float(np.arccos(arg)) / 3.0
+    return [m * math.cos(theta - 2.0 * math.pi * i / 3.0) - shift for i in range(3)]
 
 
 def _eval_poly(r: float, c3: float, c2: float, c1: float, c0: float) -> float:
@@ -173,19 +193,19 @@ def _newton_polish(r: float, c3: float, c2: float, c1: float, c0: float) -> floa
         if df == 0.0:
             break
         step = f / df
-        if not np.isfinite(step):
+        if not math.isfinite(step):
             break
         cand = r - step
         if abs(_eval_poly(cand, c3, c2, c1, c0)) >= abs(f):
             break
         r = cand
-    return float(r)
+    return r
 
 
 def _collapse(roots: list[float]) -> list[float]:
     """Merge roots that coincide up to floating-point noise."""
     out: list[float] = []
-    for r in sorted(float(x) + 0.0 for x in roots):
+    for r in sorted(x + 0.0 for x in roots):
         if not out or abs(r - out[-1]) > 1e-7 * max(1.0, abs(r)):
             out.append(r)
     return out

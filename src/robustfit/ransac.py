@@ -187,24 +187,36 @@ def classify_inliers(residuals: np.ndarray, epsilon: float) -> np.ndarray:
     return np.asarray(residuals) <= epsilon
 
 
-def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int) -> np.ndarray:
-    """Uniform sample of ``sample_size`` distinct indices from range(n).
+def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int,
+                        count: int | None = None) -> np.ndarray:
+    """Uniform sample of ``sample_size`` distinct indices from range(n), or
+    ``count`` of them.
 
     Partial Fisher-Yates with a sparse swap table: exactly ``sample_size``
-    integer draws from ``rng`` per call, uniform over all subsets. Returns
-    the (sample_size,) int64 index array in draw order.
+    integer draws from ``rng`` per sample, uniform over all subsets. All the
+    draws are taken in one ``rng.integers`` call on an array of lower bounds,
+    which reads the generator stream exactly as one scalar call per draw
+    would. Returns the (sample_size,) int64 index array in draw order, or a
+    (count, sample_size) stack of samples in draw order.
     """
     if sample_size > n:
         raise InvalidInputError(f"cannot draw {sample_size} distinct indices from {n}")
-    swaps: dict[int, int] = {}
-    out = np.empty(sample_size, dtype=np.int64)
-    for j in range(sample_size):
-        r = int(rng.integers(j, n))
-        vj = swaps.get(j, j)
-        vr = swaps.get(r, r)
-        swaps[j], swaps[r] = vr, vj
-        out[j] = vr
-    return out
+    rows = 1 if count is None else count
+    if rows < 0:
+        raise InvalidInputError(f"cannot draw {count} samples")
+    draws = rng.integers(np.tile(np.arange(sample_size), rows), n).tolist()
+    out: list[int] = []
+    for i in range(rows):
+        start = i * sample_size
+        swaps: dict[int, int] = {}
+        for j in range(sample_size):
+            r = draws[start + j]
+            vj = swaps.get(j, j)
+            vr = swaps.get(r, r)
+            swaps[j], swaps[r] = vr, vj
+            out.append(vr)
+    samples = np.array(out, dtype=np.int64).reshape(rows, sample_size)
+    return samples[0] if count is None else samples
 
 
 class ProblemSetup:
@@ -328,8 +340,9 @@ def sample_stream_digest(seed: int, n: int, sample_size: int, count: int) -> str
     """
     rng = _seed_rng(seed)
     digest = hashlib.sha256()
-    for _ in range(count):
-        _digest_update(digest, draw_minimal_sample(rng, n, sample_size))
+    for start in range(0, count, _BLOCK):  # chunks bound the memory of a long stream
+        chunk = min(_BLOCK, count - start)
+        _digest_update(digest, draw_minimal_sample(rng, n, sample_size, chunk))
     return digest.hexdigest()
 
 
@@ -374,11 +387,10 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
 
     while iterations < budget:
         size = min(budget - iterations, max(1, iterations), cap)
-        samples = np.stack(
-            [draw_minimal_sample(rng, setup.n, setup.sample_size) for _ in range(size)]
-        )
+        samples = draw_minimal_sample(rng, setup.n, setup.sample_size, size)
         found = setup.minimal_solve(samples)
         batch = setup.score(found.models, epsilon)
+        scores = batch.score.tolist()
         # Samples of the batch consumed so far. A sample is drawn only while
         # the budget allows it; once drawn, all of its candidates are walked.
         used = 0
@@ -386,7 +398,7 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
             if j >= used and iterations + j >= budget:
                 break
             used = j + 1
-            if best is not None and batch.score[k] <= best.score:
+            if best is not None and scores[k] <= best.score:
                 continue
             scored = batch.row(k)
             if cfg.lo_method != "none":

@@ -93,13 +93,14 @@ def fundamental_7pt(x1h: np.ndarray, x2h: np.ndarray) -> list[ModelMatrix] | Can
     c3 = (d2 - 4.0 * c2 - c0 - d1 + dm1) / 6.0
     c1 = 0.5 * (d1 - dm1) - c3
 
-    # The roots stay one cubic per sample; a failing cubic marks its sample
-    # degenerate.
+    # The roots stay one cubic per sample, on Python floats; a failing cubic
+    # marks its sample degenerate.
+    coeffs = np.stack([c3, c2, c1, c0], axis=1).tolist()
     owners: list[int] = []
     alphas: list[float] = []
-    for j in np.flatnonzero(full_rank):
+    for j in np.flatnonzero(full_rank).tolist():
         try:
-            roots = solve_cubic_real(c3[j], c2[j], c1[j], c0[j])
+            roots = solve_cubic_real(*coeffs[j])
         except Exception:
             continue
         owners.extend([j] * len(roots))

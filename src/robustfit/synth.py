@@ -54,10 +54,13 @@ class SynthConfig:
         )
         if self.n_inliers < min_n:
             raise InvalidInputError(f"need at least {min_n} inliers for {self.problem}")
-        if self.n_outliers < 0 or self.noise_sigma < 0.0:
-            raise InvalidInputError("counts and noise_sigma must be non-negative")
-        if self.image_size[0] <= 0 or self.image_size[1] <= 0:
-            raise InvalidInputError("image_size must be positive")
+        if self.n_outliers < 0:
+            raise InvalidInputError("n_outliers must be non-negative")
+        # Chained comparisons reject NaN as well as infinities.
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise InvalidInputError("noise_sigma must be non-negative and finite")
+        if not (0.0 < self.image_size[0] < math.inf and 0.0 < self.image_size[1] < math.inf):
+            raise InvalidInputError("image_size must be positive and finite")
         if self.degenerate_planar and self.problem != FUNDAMENTAL:
             raise InvalidInputError("degenerate_planar applies to fundamental scenes only")
         check_seed(self.seed)

@@ -226,3 +226,14 @@ def test_select_bad_tolerance_usage_error(tmp_path, capsys, tolerance):
     assert code == 2
     assert out == ""
     assert err.startswith("robustfit: ")
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_synth_bad_noise_usage_error(tmp_path, capsys, noise):
+    out_path = tmp_path / "s.rf"
+    code, out, err = run_cli(capsys, "synth", "--problem", "homography", "--inliers", "20",
+                             "--noise", noise, "--seed", "1", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("robustfit: ")
+    assert not out_path.exists()

@@ -127,6 +127,16 @@ def test_cubic_all_zero_rejected():
         solve_cubic_real(0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("row", [(1e-300, 1.0, 1.0, 1.0), (1e-200, -1.0, 1.0, -1.0)])
+def test_cubic_overflowing_depressed_cubic_rejected(row):
+    # float64 scalars overflowed to inf (roots [nan]), float powers raised
+    # OverflowError; both are the same invalid input.
+    with pytest.raises(InvalidInputError):
+        solve_cubic_real(*np.array(row))
+    with pytest.raises(InvalidInputError):
+        solve_cubic_real(*row)
+
+
 def _cubic_residual_ok(c, roots) -> bool:
     bound = 1e-9
     for r in roots:

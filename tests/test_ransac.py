@@ -75,6 +75,11 @@ def test_draw_minimal_sample_identity_and_determinism():
         )
     with pytest.raises(InvalidInputError):
         draw_minimal_sample(rng, 3, 4)
+    with pytest.raises(InvalidInputError):
+        draw_minimal_sample(rng, 10, 3, count=-1)
+    assert draw_minimal_sample(rng, 10, 3, count=0).shape == (0, 3)
+    assert draw_minimal_sample(rng, 10, 0).shape == (0,)
+    assert draw_minimal_sample(rng, 10, 0, count=2).shape == (2, 0)
 
 
 def test_draw_minimal_sample_uniform_frequency():

@@ -110,3 +110,18 @@ def test_config_validation():
         SynthConfig(HOMOGRAPHY, n_inliers=10, degenerate_planar=True)
     with pytest.raises(InvalidInputError):
         SynthConfig("essential", n_inliers=10)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"noise_sigma": -1.0},
+    {"noise_sigma": float("nan")},
+    {"noise_sigma": float("inf")},
+    {"image_size": (float("nan"), 480)},
+    {"image_size": (640, float("inf"))},
+    {"image_size": (0, 480)},
+    {"n_outliers": -1},
+])
+def test_config_rejects_out_of_range_values(kwargs):
+    # NaN fails every comparison, so only a range check that must hold rejects it.
+    with pytest.raises(InvalidInputError):
+        SynthConfig(HOMOGRAPHY, n_inliers=20, **kwargs)

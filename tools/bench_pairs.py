@@ -17,8 +17,9 @@ same reason. ``hyp-bound`` also gets one pair on the confirmation seed
 the time of ``test_c8_threshold_sensitivity``.
 
 The output holds, per workload and end-to-end metric: each side's median
-and IQR/median, the change/parent ratio of the medians, and how many pairs
-the change won (ties count for neither side); per pair: each side's
+and IQR/median, the change/parent ratio of the medians, how many pairs the
+change won (ties count for neither side) and a verdict (``gain``,
+``regressed`` or ``neutral``, see ``summarize``); per pair: each side's
 ``failed``, ``attempted``, ``correct`` and metrics.
 """
 
@@ -90,28 +91,43 @@ def pair(roots: dict, workload: str, seed: int, seconds: float, parent_first: bo
 
 
 def spread(values: list[float]) -> tuple[float, float]:
-    """Median and IQR/median."""
-    med = statistics.median(values)
+    """Median and interquartile range."""
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return med, (q3 - q1) / med if med else 0.0
+    return statistics.median(values), q3 - q1
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json`` (``name``, ``better``,
+    ``bound``): each side's median and IQR/median, the change/parent ratio,
+    the change's wins and a verdict. ``gain``: the change wins at least 9 of
+    10 pairs and the medians differ, in its favour, by more than the parent's
+    IQR. ``regressed``: the change's median is worse than the parent's by
+    more than ``bound`` times the parent's median. Otherwise ``neutral``."""
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name = metric["name"]
         p = [r["parent"]["metrics"][name] for r in pairs]
         c = [r["change"]["metrics"][name] for r in pairs]
         p_med, p_iqr = spread(p)
         c_med, c_iqr = spread(c)
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        wins = sum(sign * (pv - cv) > 0 for pv, cv in zip(p, c))
+        improvement = sign * (p_med - c_med)
+        if 10 * wins >= 9 * len(pairs) and improvement > p_iqr:
+            verdict = "gain"
+        elif -improvement > metric["bound"] * abs(p_med):
+            verdict = "regressed"
+        else:
+            verdict = "neutral"
         out[name] = {
             "parent_median": p_med,
-            "parent_iqr_over_median": round(p_iqr, 4),
+            "parent_iqr_over_median": round(p_iqr / p_med, 4) if p_med else 0.0,
             "change_median": c_med,
-            "change_iqr_over_median": round(c_iqr, 4),
+            "change_iqr_over_median": round(c_iqr / c_med, 4) if c_med else 0.0,
             "ratio": round(c_med / p_med, 4) if p_med else None,
-            "change_wins": sum(sign * (pv - cv) > 0 for pv, cv in zip(p, c)),
+            "change_wins": wins,
             "pairs": len(pairs),
+            "verdict": verdict,
         }
     return out
 
@@ -149,7 +165,6 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         roots[side], idents[side] = checkout(getattr(args, side), args.workdir / side)
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
 
@@ -157,14 +172,14 @@ def main(argv=None) -> int:
     for i in range(PAIRS):
         for w in workloads:
             pairs[w].append(pair(roots, w, FIRST_SEED + i, seconds, i % 2 == 0))
-    results = {w: {"summary": summarize(pairs[w], better), "pairs": pairs[w]}
+    results = {w: {"summary": summarize(pairs[w], spec["end_to_end"]), "pairs": pairs[w]}
                for w in workloads}
     w, seed = CONFIRMATION
     confirmation = {"workload": w, **pair(roots, w, seed, seconds, True)}
     confirmation["ratios"] = {
         name: round(confirmation["change"]["metrics"][name]
                     / confirmation["parent"]["metrics"][name], 4)
-        for name in better
+        for name in (m["name"] for m in spec["end_to_end"])
     }
 
     report = {
