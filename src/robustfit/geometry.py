@@ -213,7 +213,7 @@ def _residuals(kernel, m: np.ndarray, x1: np.ndarray, x2: np.ndarray):
 
 def _sampson(f: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     fx1 = h1 @ np.swapaxes(f, 1, 2)  # rows: F @ x1_i
-    ftx2 = h2 @ f  # rows: F^T @ x2_i
+    ftx2 = h2 @ np.ascontiguousarray(f)  # rows: F^T @ x2_i; row-major takes the BLAS path
     num = np.abs(np.einsum("kni,ni->kn", fx1, h2))
     den = np.sqrt(fx1[..., 0] ** 2 + fx1[..., 1] ** 2 + ftx2[..., 0] ** 2 + ftx2[..., 1] ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,10 +6,12 @@ far, runs the local-optimization loop (classify inliers with the pixel
 threshold, refit on them, rescore on all points, stop on non-improvement)
 before shrinking the iteration budget from the refined inlier count.
 
-Hypotheses are made in batches: a batch of samples is drawn ahead from the
-same generator stream, solved as one stack and scored as one (K, n) residual
-block, and its candidates are then walked in draw order with the rules above.
-A budget cut inside a batch drops the rest of it, so the results, the
+Hypotheses are made in batches: a batch of up to ``_SOLVE`` samples is drawn
+ahead from the same generator stream and solved as one stack, and its
+candidates are walked in draw order with the rules above. They are scored
+in chunks of ``_BLOCK // n`` candidates (at least one), each chunk as one
+residual block when the walk reaches it. A budget cut inside a batch stops
+the walk, so the rest of the batch is never scored, and the results, the
 iteration count and the sample digest are those of one sample at a time.
 
 Model fitting is done in Hartley-normalized coordinates on unit-scaled
@@ -65,7 +67,10 @@ LO_METHODS = ("none", "dlt", "huber", "dpcp")
 # Sentinel budget when the inlier ratio is zero and no cap is supplied.
 _UNBOUNDED = 2**62
 
-# Most residuals (K * n) one batch of hypotheses may score at once.
+# Most samples one batch of hypotheses solves at once.
+_SOLVE = 2**8
+
+# Most residuals (K * n) one score chunk may hold (at least one model).
 _BLOCK = 2**14
 
 
@@ -96,6 +101,8 @@ class RansacConfig:
             raise InvalidInputError("sigma must be positive and finite")
         if not 0.0 < self.confidence_p < 1.0:
             raise InvalidInputError("confidence_p must lie in (0, 1)")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.t_max, self.lo_k_max)):
+            raise InvalidInputError("t_max and lo_k_max must be integers")
         if self.t_max < 1 or self.lo_k_max < 1:
             raise InvalidInputError("t_max and lo_k_max must be at least 1")
         if self.lo_method not in LO_METHODS:
@@ -199,7 +206,7 @@ def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int,
     would. Returns the (sample_size,) int64 index array in draw order, or a
     (count, sample_size) stack of samples in draw order.
     """
-    if sample_size > n:
+    if not 0 <= sample_size <= n:
         raise InvalidInputError(f"cannot draw {sample_size} distinct indices from {n}")
     rows = 1 if count is None else count
     if rows < 0:
@@ -242,11 +249,11 @@ class ProblemSetup:
         # The one per-problem branch. Kernels are bound per instance, so a
         # tracer that wrapped the module globals before the run reaches them.
         if problem == FUNDAMENTAL:
-            self.sample_size, self.max_models = FUNDAMENTAL_SAMPLE_SIZE, 3  # <= 3 cubic roots
+            self.sample_size = FUNDAMENTAL_SAMPLE_SIZE
             self.solver, self.constrain = fundamental_7pt, rank2_project
             self.embeddings = epipolar_embeddings(self.x1n, self.x2n).T[:, :, None]
         else:
-            self.sample_size, self.max_models = HOMOGRAPHY_SAMPLE_SIZE, 1
+            self.sample_size = HOMOGRAPHY_SAMPLE_SIZE
             self.solver, self.constrain = homography_4pt, None
             self.embeddings = homographic_embeddings(self.x1n, self.x2n)
 
@@ -338,6 +345,8 @@ def sample_stream_digest(seed: int, n: int, sample_size: int, count: int) -> str
     Lets the bench harness verify that two runs with the same seed consumed
     the same minimal-sample sequence (possibly stopping at different points).
     """
+    if count < 0 or sample_size < 0:
+        raise InvalidInputError(f"cannot draw {count} samples of {sample_size} indices")
     rng = _seed_rng(seed)
     digest = hashlib.sha256()
     for start in range(0, count, _BLOCK):  # chunks bound the memory of a long stream
@@ -381,16 +390,15 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
     iterations = 0
     lo_invocations = 0
     score_history: list[float] = []
-    # Batches double from one sample, so an early budget cut wastes few
-    # draws, up to the residual block cap.
-    cap = max(1, _BLOCK // (setup.n * setup.max_models))
+    # Candidates per score chunk: at most _BLOCK residuals (or one model).
+    rows = max(1, _BLOCK // setup.n)
 
     while iterations < budget:
-        size = min(budget - iterations, max(1, iterations), cap)
+        # Solve batches double from one sample, so an early budget cut
+        # wastes few draws, up to _SOLVE samples.
+        size = min(budget - iterations, max(1, iterations), _SOLVE)
         samples = draw_minimal_sample(rng, setup.n, setup.sample_size, size)
         found = setup.minimal_solve(samples)
-        batch = setup.score(found.models, epsilon)
-        scores = batch.score.tolist()
         # Samples of the batch consumed so far. A sample is drawn only while
         # the budget allows it; once drawn, all of its candidates are walked.
         used = 0
@@ -398,9 +406,13 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
             if j >= used and iterations + j >= budget:
                 break
             used = j + 1
-            if best is not None and scores[k] <= best.score:
+            i = k % rows  # place in the current score chunk
+            if i == 0:  # the walk reaches the next chunk: score it
+                chunk = setup.score(ModelMatrix(found.models.m[k:k + rows], setup.problem), epsilon)
+                scores = chunk.score.tolist()
+            if best is not None and scores[i] <= best.score:
                 continue
-            scored = batch.row(k)
+            scored = chunk.row(i)
             if cfg.lo_method != "none":
                 lo_invocations += 1
                 scored = local_optimize(scored, setup, cfg, epsilon)

@@ -40,6 +40,8 @@ class IrlsConfig:
     weight_floor: float = 1e-9
 
     def __post_init__(self):
+        if not isinstance(self.tau_max, (int, np.integer)):
+            raise InvalidInputError("tau_max must be an integer")
         if self.tau_max < 1 or not 0.0 < self.tol < math.inf or not 0.0 < self.weight_floor < math.inf:
             raise InvalidInputError(
                 "tau_max >= 1 and finite tol > 0 and weight_floor > 0 required"

@@ -1,17 +1,30 @@
 """Tests for the RANSAC engine: budgeting, scoring, sampling, LO, full runs."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
+
+from robustfit import ransac
 
 from robustfit.exceptions import (
     EstimationFailedError,
     InsufficientDataError,
     InvalidInputError,
 )
-from robustfit.geometry import FUNDAMENTAL, HOMOGRAPHY, sampson_distance, transfer_error
+from robustfit.geometry import (
+    FUNDAMENTAL,
+    HOMOGRAPHY,
+    ModelMatrix,
+    sampson_distance,
+    transfer_error,
+)
 from robustfit.ransac import (
     ProblemSetup,
     RansacConfig,
+    RunReport,
+    ScoredModel,
     classify_inliers,
     draw_minimal_sample,
     local_optimize,
@@ -80,6 +93,18 @@ def test_draw_minimal_sample_identity_and_determinism():
     assert draw_minimal_sample(rng, 10, 3, count=0).shape == (0, 3)
     assert draw_minimal_sample(rng, 10, 0).shape == (0,)
     assert draw_minimal_sample(rng, 10, 0, count=2).shape == (2, 0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: draw_minimal_sample(np.random.default_rng(0), 10, -2),
+    lambda: draw_minimal_sample(np.random.default_rng(0), 10, -2, 3),
+    lambda: sample_stream_digest(0, 10, 4, -1),
+    lambda: sample_stream_digest(0, 10, -1, 5),
+    lambda: sample_stream_digest(0, 10, -1, 0),
+], ids=["sample", "stack", "digest-count", "digest-size", "digest-size-empty"])
+def test_negative_sample_size_or_count_rejected(draw):
+    with pytest.raises(InvalidInputError):
+        draw()
 
 
 def test_draw_minimal_sample_uniform_frequency():
@@ -267,3 +292,127 @@ def test_non_finite_config_rejected(config, options):
 def test_bad_seed_rejected(config, options):
     with pytest.raises(InvalidInputError):
         config(**options)
+
+
+@pytest.mark.parametrize("config, options", [
+    (RansacConfig, {"epsilon": 1.0, "t_max": 2.5}),
+    (RansacConfig, {"epsilon": 1.0, "t_max": 100.0}),
+    (RansacConfig, {"epsilon": 1.0, "lo_k_max": 1.5}),
+    (IrlsConfig, {"tau_max": 2.5}),
+    (IrlsConfig, {"tau_max": "10"}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x!r}" for k, x in v.items()))
+def test_non_integer_config_rejected(config, options):
+    with pytest.raises(InvalidInputError):
+        config(**options)
+
+
+def test_numpy_integer_config_accepted():
+    ds = synth_dataset(SynthConfig(HOMOGRAPHY, 40, 10, noise_sigma=0.5, seed=3))
+    cfg = RansacConfig(epsilon=2.0, t_max=np.int64(50), lo_k_max=np.int32(3),
+                       irls=IrlsConfig(tau_max=np.int64(5)), seed=np.int64(1))
+    report = run_ransac(HOMOGRAPHY, ds.x1, ds.x2, cfg, ds.image_size)
+    assert 1 <= report.iterations_used <= 50
+
+
+# ---------------------------------------------------------------------------
+# Solve batches and score chunks
+# ---------------------------------------------------------------------------
+
+
+def _plain(value):
+    """A report value with its arrays as (dtype, shape, bytes), for exact comparison."""
+    if isinstance(value, ScoredModel):
+        return tuple(_plain(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, ModelMatrix):
+        return value.kind, _plain(value.m)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+def _report(problem, ds, cfg) -> dict:
+    """Every RunReport field but the wall time, a failed run's report included."""
+    try:
+        report = run_ransac(problem, ds.x1, ds.x2, cfg, ds.image_size)
+    except EstimationFailedError as exc:
+        report = exc.report
+    return {f.name: _plain(getattr(report, f.name)) for f in fields(RunReport)
+            if f.name != "wall_time_ms"}
+
+
+class _BatchLog:
+    """Wraps ProblemSetup to record, per solve batch, its candidate count and
+    how many score chunks the walk scored (LO's single-model rescoring aside)."""
+
+    def __init__(self, monkeypatch):
+        self.batches: list[list[int]] = []  # [candidates, chunks scored, n]
+        solve, score = ProblemSetup.minimal_solve, ProblemSetup.score
+
+        def logged_solve(setup, indices):
+            found = solve(setup, indices)
+            self.batches.append([len(found), 0, setup.n])
+            return found
+
+        def logged_score(setup, model, epsilon):
+            if model.m.ndim == 3:
+                self.batches[-1][1] += 1
+            return score(setup, model, epsilon)
+
+        monkeypatch.setattr(ProblemSetup, "minimal_solve", logged_solve)
+        monkeypatch.setattr(ProblemSetup, "score", logged_score)
+
+    def cut_in_later_chunk(self) -> bool:
+        """Some batch was cut by the budget after its first score chunk: the
+        walk scored two or more chunks but not all of them."""
+        for candidates, scored, n in self.batches:
+            rows = max(1, ransac._BLOCK // n)
+            if 2 <= scored < math.ceil(candidates / rows):
+                return True
+        return False
+
+
+# (problem, inliers, outliers, scene seed, options, cut inside a later chunk)
+BATCH_CASES = [
+    (FUNDAMENTAL, 120, 80, 0, {"lo_method": "dpcp", "seed": 3}, False),
+    (FUNDAMENTAL, 60, 240, 1, {"lo_method": "none", "seed": 2, "t_max": 600}, False),
+    (HOMOGRAPHY, 100, 100, 2, {"lo_method": "dlt", "seed": 4}, False),
+    (HOMOGRAPHY, 100, 100, 3, {"lo_method": "huber", "seed": 5, "symmetric_transfer": True}, False),
+    # Batch of 128 samples at iteration 128, cut after its third chunk of 40.
+    (HOMOGRAPHY, 160, 240, 0, {"lo_method": "none", "seed": 3}, True),
+]
+
+
+@pytest.mark.parametrize("problem, n_in, n_out, scene, options, later_chunk", BATCH_CASES)
+def test_batched_run_equals_sample_at_a_time(monkeypatch, problem, n_in, n_out, scene,
+                                             options, later_chunk):
+    """Solve batches and lazily scored chunks give the report of a run that
+    solves and scores one sample at a time."""
+    ds = synth_dataset(SynthConfig(problem, n_in, n_out, noise_sigma=1.0, seed=scene))
+    cfg = RansacConfig(epsilon=3.0, **options)
+    log = _BatchLog(monkeypatch)
+    batched = _report(problem, ds, cfg)
+    if later_chunk:
+        assert log.cut_in_later_chunk()
+    monkeypatch.setattr(ransac, "_SOLVE", 1)
+    monkeypatch.setattr(ransac, "_BLOCK", 1)
+    assert _report(problem, ds, cfg) == batched
+
+
+@pytest.mark.parametrize("problem, n_in, n_out, options", [
+    (FUNDAMENTAL, 60, 240, {"lo_method": "dpcp", "t_max": 1500}),
+    (HOMOGRAPHY, 100, 100, {"lo_method": "dlt", "symmetric_transfer": True}),
+    (HOMOGRAPHY, ransac._BLOCK + 100, 0, {"lo_method": "dpcp", "t_max": 20}),
+], ids=["F", "H-symmetric", "H-wider-than-block"])
+def test_no_score_call_exceeds_the_block(monkeypatch, problem, n_in, n_out, options):
+    ds = synth_dataset(SynthConfig(problem, n_in, n_out, noise_sigma=0.5, seed=7))
+    sizes = []
+    score = ProblemSetup.score
+
+    def logged_score(setup, model, epsilon):
+        scored = score(setup, model, epsilon)
+        sizes.append(scored.residuals.size)
+        return scored
+
+    monkeypatch.setattr(ProblemSetup, "score", logged_score)
+    run_ransac(problem, ds.x1, ds.x2, RansacConfig(epsilon=2.0, seed=1, **options), ds.image_size)
+    assert sizes and max(sizes) <= max(ransac._BLOCK, ds.n)
