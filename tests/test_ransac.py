@@ -341,10 +341,12 @@ def _report(problem, ds, cfg) -> dict:
 
 
 class _BatchLog:
-    """Wraps ProblemSetup to record, per solve batch, its candidate count and
-    how many score chunks the walk scored (LO's single-model rescoring aside)."""
+    """Wraps ProblemSetup to record the residual count of every score call
+    and, per solve batch, its candidate count and how many score chunks the
+    walk scored (LO's single-model rescoring aside)."""
 
     def __init__(self, monkeypatch):
+        self.sizes: list[int] = []
         self.batches: list[list[int]] = []  # [candidates, chunks scored, n]
         solve, score = ProblemSetup.minimal_solve, ProblemSetup.score
 
@@ -354,9 +356,11 @@ class _BatchLog:
             return found
 
         def logged_score(setup, model, epsilon):
+            scored = score(setup, model, epsilon)
+            self.sizes.append(scored.residuals.size)
             if model.m.ndim == 3:
                 self.batches[-1][1] += 1
-            return score(setup, model, epsilon)
+            return scored
 
         monkeypatch.setattr(ProblemSetup, "minimal_solve", logged_solve)
         monkeypatch.setattr(ProblemSetup, "score", logged_score)
@@ -377,7 +381,7 @@ BATCH_CASES = [
     (FUNDAMENTAL, 60, 240, 1, {"lo_method": "none", "seed": 2, "t_max": 600}, False),
     (HOMOGRAPHY, 100, 100, 2, {"lo_method": "dlt", "seed": 4}, False),
     (HOMOGRAPHY, 100, 100, 3, {"lo_method": "huber", "seed": 5, "symmetric_transfer": True}, False),
-    # Batch of 128 samples at iteration 128, cut after its third chunk of 40.
+    # The 128-sample batch at iteration 128 is cut at sample 62, in its second chunk of 40.
     (HOMOGRAPHY, 160, 240, 0, {"lo_method": "none", "seed": 3}, True),
 ]
 
@@ -405,14 +409,6 @@ def test_batched_run_equals_sample_at_a_time(monkeypatch, problem, n_in, n_out, 
 ], ids=["F", "H-symmetric", "H-wider-than-block"])
 def test_no_score_call_exceeds_the_block(monkeypatch, problem, n_in, n_out, options):
     ds = synth_dataset(SynthConfig(problem, n_in, n_out, noise_sigma=0.5, seed=7))
-    sizes = []
-    score = ProblemSetup.score
-
-    def logged_score(setup, model, epsilon):
-        scored = score(setup, model, epsilon)
-        sizes.append(scored.residuals.size)
-        return scored
-
-    monkeypatch.setattr(ProblemSetup, "score", logged_score)
+    log = _BatchLog(monkeypatch)
     run_ransac(problem, ds.x1, ds.x2, RansacConfig(epsilon=2.0, seed=1, **options), ds.image_size)
-    assert sizes and max(sizes) <= max(ransac._BLOCK, ds.n)
+    assert log.sizes and max(log.sizes) <= max(ransac._BLOCK, ds.n)
