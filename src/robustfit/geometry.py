@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateInputError, InvalidInputError
-from .linalg import apply_sign_convention
+from .linalg import apply_sign_convention, row_norms
 
 FUNDAMENTAL = "fundamental"
 HOMOGRAPHY = "homography"
@@ -123,7 +123,7 @@ def hartley_normalize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError("points contain non-finite coordinates")
 
     centroid = points.mean(axis=0)
-    dists = np.linalg.norm(points - centroid, axis=1)
+    dists = row_norms(points - centroid)
     mean_dist = dists.mean()
     if mean_dist <= 0.0:
         raise DegenerateInputError("all points identical: normalization scale undefined")
@@ -165,21 +165,21 @@ def homographic_embeddings(x1h: np.ndarray, x2h: np.ndarray, unit: bool = True) 
     """
     x1h = np.atleast_2d(x1h)
     x2h = np.atleast_2d(x2h)
-    n = x1h.shape[0]
-    a, b, c = x2h[:, 0], x2h[:, 1], x2h[:, 2]
-    zeros = np.zeros(n)
-    # First two rows of the cross-product matrix of x2.
-    r1 = np.stack([zeros, -c, b], axis=1)
-    r2 = np.stack([c, zeros, -a], axis=1)
-    psi1 = (x1h[:, :, None] * r1[:, None, :]).reshape(n, 9)
-    psi2 = (x1h[:, :, None] * r2[:, None, :]).reshape(n, 9)
-    blocks = np.stack([psi1, psi2], axis=2)
+    a, b, c = x2h.T
+    zeros = np.zeros(x2h.shape[0])
+    # Built as coordinate planes, n innermost: the first two rows of the
+    # cross-product matrix of x2 as (2, 3, n), then psi[r, 3 i + j] =
+    # x1_i * row_r[j] as (2, 9, n). The norms sum the 9 squares in entry
+    # order, as a norm over axis 1 of (n, 9, 2) blocks does.
+    cross = np.stack([np.stack([zeros, -c, b]), np.stack([c, zeros, -a])])
+    x1 = np.ascontiguousarray(x1h.T)
+    planes = (x1[None, :, None, :] * cross[:, None, :, :]).reshape(2, 9, -1)
     if unit:
-        norms = np.linalg.norm(blocks, axis=1, keepdims=True)
+        norms = row_norms(planes.transpose(0, 2, 1))
         if np.any(norms == 0.0):
             raise InvalidInputError("zero homographic embedding")
-        blocks = blocks / norms
-    return blocks
+        planes /= norms[:, None, :]
+    return planes.transpose(2, 1, 0)
 
 
 def constraint_rows(data: np.ndarray) -> tuple[np.ndarray, int]:
@@ -221,18 +221,23 @@ def _sampson(f: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 
 def _transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    # Works on (K, n) coordinate planes: the same operations as dehomogenize
-    # and a norm over the last axis of (K, n, 2), at a fraction of the cost.
-    mapped = h1 @ np.swapaxes(h, 1, 2)
-    w = mapped[..., 2]
-    safe = np.abs(w) >= 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(safe, w, 1.0)
-        px = np.where(safe, mapped[..., 0] / w, np.inf)
-        py = np.where(safe, mapped[..., 1] / w, np.inf)
-        dx = px - h2[:, 0]
-        dy = py - h2[:, 1]
-        return np.where(np.isfinite(px) & np.isfinite(py), np.sqrt(dx * dx + dy * dy), np.inf)
+    # Works in place on the contiguous (K, n) rows of (K, 3, n) coordinate
+    # planes: the same operations as dehomogenize and a norm over (x, y).
+    # A non-finite mapped point gives inf or NaN, which fmin turns into inf.
+    x, y, w = np.swapaxes(h @ h1.T, 0, 1)
+    far = np.abs(w) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x /= w
+        x -= h2[:, 0]
+        x *= x
+        y /= w
+        y -= h2[:, 1]
+        y *= y
+        x += y
+        r = np.fmin(np.sqrt(x, out=x), np.inf)
+    if far.any():
+        r[far] = np.inf
+    return r
 
 
 def _symmetric_transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,13 +125,25 @@ class RansacConfig:
 @dataclass(frozen=True)
 class ScoredModel:
     """A scored model; for a stack of K models every field is stacked:
-    (K,) scores and counts, (K, n) residuals and masks."""
+    (K,) scores and (K, n) residuals. The inlier mask and count follow from
+    the residuals and ``epsilon``; each is computed when first read, so the
+    rows a run never keeps cost no classification."""
 
     model: ModelMatrix
     score: float
     residuals: np.ndarray
-    inlier_mask: np.ndarray
-    inlier_count: int
+    epsilon: float
+
+    @cached_property
+    def inlier_mask(self) -> np.ndarray:
+        """(n,) or (K, n) booleans, residual <= epsilon."""
+        return classify_inliers(self.residuals, self.epsilon)
+
+    @cached_property
+    def inlier_count(self) -> int | np.ndarray:
+        """An ``int`` for one model, a (K,) array for a stack."""
+        count = np.count_nonzero(self.inlier_mask, axis=-1)
+        return int(count) if self.residuals.ndim == 1 else count
 
     def row(self, k: int) -> ScoredModel:
         """The k-th model of a stack."""
@@ -138,8 +151,7 @@ class ScoredModel:
             model=ModelMatrix(self.model.m[k], self.model.kind),
             score=float(self.score[k]),
             residuals=self.residuals[k],
-            inlier_mask=self.inlier_mask[k],
-            inlier_count=int(self.inlier_count[k]),
+            epsilon=self.epsilon,
         )
 
 
@@ -183,9 +195,13 @@ def truncated_quadratic_score(residuals: np.ndarray, epsilon: float) -> float | 
     (n,) residuals give a float, (K, n) rows a (K,) array.
     """
     r = np.asarray(residuals, dtype=np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        gain = 1.0 - np.square(r / epsilon)
-    total = np.sum(np.maximum(0.0, np.where(np.isfinite(gain), gain, 0.0)), axis=-1)
+    # Past 2 the gain is negative anyway; the cap keeps the square finite,
+    # and fmax drops the NaN of a NaN residual.
+    gain = r / epsilon
+    np.minimum(gain, 2.0, out=gain)
+    np.square(gain, out=gain)
+    np.subtract(1.0, gain, out=gain)
+    total = np.sum(np.fmax(gain, 0.0, out=gain), axis=-1)
     return float(total) if r.ndim == 1 else total
 
 
@@ -260,15 +276,7 @@ class ProblemSetup:
     def score(self, model: ModelMatrix, epsilon: float) -> ScoredModel:
         """Score one model, or a stack of them as one (K, n) residual block."""
         r = model_residuals(model, self.h1, self.h2, self.symmetric_transfer)
-        mask = classify_inliers(r, epsilon)
-        count = np.count_nonzero(mask, axis=-1)
-        return ScoredModel(
-            model=model,
-            score=truncated_quadratic_score(r, epsilon),
-            residuals=r,
-            inlier_mask=mask,
-            inlier_count=int(count) if r.ndim == 1 else count,
-        )
+        return ScoredModel(model, truncated_quadratic_score(r, epsilon), r, epsilon)
 
     def minimal_solve(self, indices: np.ndarray) -> list[ModelMatrix] | Candidates:
         """Run the minimal solver; models returned in pixel space.
@@ -315,7 +323,7 @@ def local_optimize(scored: ScoredModel, setup: ProblemSetup, cfg: RansacConfig,
     """
     best = scored
     for _ in range(cfg.lo_k_max):
-        refit = setup.refit(classify_inliers(best.residuals, epsilon), cfg.lo_method, cfg)
+        refit = setup.refit(best.inlier_mask, cfg.lo_method, cfg)
         if refit is None:
             break
         rescored = setup.score(refit, epsilon)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import InsufficientDataError, InvalidInputError
 from .geometry import constraint_rows
-from .linalg import apply_sign_convention, least_eigvecs, top_eigvecs
+from .linalg import apply_sign_convention, least_eigvecs, row_norms, top_eigvecs
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,10 @@ def _irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | None,
         return np.where(r <= c_huber, 1.0, c_huber / np.maximum(r, c_huber))
 
     def objective(basis: np.ndarray) -> tuple[np.ndarray, float]:
-        r = np.linalg.norm((rows @ basis).reshape(-1, m * codim), axis=1)
+        # The loop reads the basis only here, through |rows @ b|, which a sign
+        # flip of a column leaves unchanged: the sign convention runs once, on
+        # the returned basis.
+        r = row_norms((rows @ basis).reshape(-1, m * codim))
         loss = smoothed_abs(r, delta) if c_huber is None else huber_loss(r, c_huber)
         return r, float(np.sum(loss))
 
@@ -104,16 +107,18 @@ def _irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | None,
     if trace is not None:
         trace.append(obj)
     for _ in range(cfg.tau_max):
-        w_rows = np.repeat(weights(resid), m)
+        w_rows = weights(resid)
+        if m > 1:
+            w_rows = np.repeat(w_rows, m)
         _, vecs = np.linalg.eigh((rows * w_rows[:, None]).T @ rows)
-        basis = apply_sign_convention(np.ascontiguousarray(vecs[:, :codim]))
+        basis = np.ascontiguousarray(vecs[:, :codim])
         resid, new_obj = objective(basis)
         if trace is not None:
             trace.append(new_obj)
         if obj - new_obj < cfg.tol:
             break
         obj = new_obj
-    return basis
+    return apply_sign_convention(basis)
 
 
 def dpcp_irls(y: np.ndarray, cfg: IrlsConfig = IrlsConfig(), trace: list | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, JSON output, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,42 @@ def test_estimate_byte_identical_except_wall(synth_file, capsys):
     a.pop("wall_ms")
     b.pop("wall_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# ``estimate`` output of the seeded scene above (H 60/60, noise 1, seed 7) at
+# sigma 0.005 and RANSAC seed 11, wall time aside, as the row-wise kernels
+# that the golden file was recorded with printed it.
+ESTIMATE_RECORDS = {
+    "dpcp": (
+        [],
+        {"epsilon": 4.0, "error_on_validation": 1.0948643541550553, "inlier_count": 60,
+         "iterations": 49, "lo_invocations": 2, "lo_method": "dpcp",
+         "model": [-0.006773660154377171, -0.0003941413566454213, 0.28103919299460134,
+                   0.00032814925053707537, -0.007106814429028271, 0.959618410707497,
+                   6.67775202190756e-07, 1.1029291273585713e-07, -0.007268116616234199],
+         "problem": "homography", "score": 54.027783004163226, "seed": 11},
+    ),
+    "huber-symmetric": (
+        ["--symmetric-transfer"],
+        {"epsilon": 4.0, "error_on_validation": 2.2543927383838707, "inlier_count": 55,
+         "iterations": 67, "lo_invocations": 2, "lo_method": "huber",
+         "model": [-0.006742989769953356, -0.0004025207994943549, 0.2820945632070569,
+                   0.0003243098439561296, -0.0070844823300195625, 0.9593093423055588,
+                   6.463361980454622e-07, 1.0803480294134979e-07, -0.007233130240489214],
+         "problem": "homography", "score": 38.6581492753351, "seed": 11},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATE_RECORDS))
+def test_estimate_json_equals_record(synth_file, capsys, case):
+    path, _ = synth_file
+    extra, record = ESTIMATE_RECORDS[case]
+    code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--sigma", "0.005",
+                           "--lo", record["lo_method"], "--seed", "11", *extra)
+    assert code == 0
+    masked = re.sub(r'"wall_ms": [^\n]*', '"wall_ms": 0.0', out)
+    assert masked == json.dumps({**record, "wall_ms": 0.0}, indent=2, sort_keys=True) + "\n"
 
 
 def test_estimate_usage_error_on_double_threshold(synth_file, capsys):

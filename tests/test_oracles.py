@@ -1,4 +1,4 @@
-"""Reference oracles for the hypothesis kernels.
+"""Reference oracles for the hypothesis, scoring, set-up and IRLS kernels.
 
 The per-draw Fisher-Yates sampler and the numpy-scalar cubic solver below are
 verbatim copies of the implementations that ``tests/golden_ransac.json`` was
@@ -6,6 +6,14 @@ recorded with (only the public names carry a ``reference_`` prefix). The
 production kernels take all of a batch's draws in one ``rng.integers`` call
 and solve the cubic on Python floats; these tests require the same samples,
 the same generator state afterwards and the same root bytes.
+
+The transfer residuals, the truncated quadratic score, the homographic
+embeddings, the Hartley normalization and the IRLS loop are verbatim copies
+of the row-wise numpy kernels that the production code replaced with
+contiguous coordinate planes and entry-order sums. The golden file holds no
+scene above n = 400, so these tests require the same bytes on seeded inputs
+up to n = 10 000 and on edge rows: points at infinity, NaN models, overflowing
+coordinates and residuals, and empty inputs.
 """
 
 import hashlib
@@ -14,9 +22,19 @@ import math
 import numpy as np
 import pytest
 
-from robustfit.exceptions import InvalidInputError
-from robustfit.linalg import solve_cubic_real
-from robustfit.ransac import draw_minimal_sample, sample_stream_digest
+from robustfit.exceptions import DegenerateInputError, InsufficientDataError, InvalidInputError
+from robustfit.geometry import (
+    constraint_rows,
+    epipolar_embeddings,
+    hartley_normalize,
+    homogeneous,
+    homographic_embeddings,
+    symmetric_transfer_error,
+    transfer_error,
+)
+from robustfit.linalg import apply_sign_convention, least_eigvecs, row_norms, solve_cubic_real
+from robustfit.ransac import draw_minimal_sample, sample_stream_digest, truncated_quadratic_score
+from robustfit.subspace import IrlsConfig, _irls, huber_loss, smoothed_abs
 
 # ---------------------------------------------------------------------------
 # Reference implementations (verbatim, renamed)
@@ -272,3 +290,348 @@ EDGE_ROWS = [
 
 def test_cubic_equals_reference_on_edge_rows():
     _assert_matches_reference(np.array(EDGE_ROWS))
+
+
+# ---------------------------------------------------------------------------
+# Row-wise kernels (verbatim, renamed)
+# ---------------------------------------------------------------------------
+
+
+def reference_transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    # Works on (K, n) coordinate planes: the same operations as dehomogenize
+    # and a norm over the last axis of (K, n, 2), at a fraction of the cost.
+    mapped = h1 @ np.swapaxes(h, 1, 2)
+    w = mapped[..., 2]
+    safe = np.abs(w) >= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(safe, w, 1.0)
+        px = np.where(safe, mapped[..., 0] / w, np.inf)
+        py = np.where(safe, mapped[..., 1] / w, np.inf)
+        dx = px - h2[:, 0]
+        dy = py - h2[:, 1]
+        return np.where(np.isfinite(px) & np.isfinite(py), np.sqrt(dx * dx + dy * dy), np.inf)
+
+
+def reference_symmetric_transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    invertible = np.abs(np.linalg.det(h)) >= 1e-15
+    inverse = np.linalg.inv(np.where(invertible[:, None, None], h, np.eye(3)))
+    both = reference_transfer(h, h1, h2) + reference_transfer(inverse, h2, h1)
+    return np.where(invertible[:, None], both, np.inf)
+
+
+def reference_truncated_quadratic_score(residuals: np.ndarray, epsilon: float) -> float | np.ndarray:
+    """Consensus score sum_i max(0, 1 - (r_i/eps)^2); inf residuals add 0.
+
+    (n,) residuals give a float, (K, n) rows a (K,) array.
+    """
+    r = np.asarray(residuals, dtype=np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gain = 1.0 - np.square(r / epsilon)
+    total = np.sum(np.maximum(0.0, np.where(np.isfinite(gain), gain, 0.0)), axis=-1)
+    return float(total) if r.ndim == 1 else total
+
+
+def reference_homographic_embeddings(x1h: np.ndarray, x2h: np.ndarray, unit: bool = True) -> np.ndarray:
+    """Two linear forms per correspondence that vanish on vec(H) iff x2 ~ H x1.
+
+    They are rows 1 and 2 of the cross-product constraint x2 x (H x1) = 0,
+    rewritten in vec(H): psi_j = kron(x1, row_j([x2]_x)).
+
+    Returns (n, 9, 2) blocks, columns unit-normalized unless ``unit=False``.
+    """
+    x1h = np.atleast_2d(x1h)
+    x2h = np.atleast_2d(x2h)
+    n = x1h.shape[0]
+    a, b, c = x2h[:, 0], x2h[:, 1], x2h[:, 2]
+    zeros = np.zeros(n)
+    # First two rows of the cross-product matrix of x2.
+    r1 = np.stack([zeros, -c, b], axis=1)
+    r2 = np.stack([c, zeros, -a], axis=1)
+    psi1 = (x1h[:, :, None] * r1[:, None, :]).reshape(n, 9)
+    psi2 = (x1h[:, :, None] * r2[:, None, :]).reshape(n, 9)
+    blocks = np.stack([psi1, psi2], axis=2)
+    if unit:
+        norms = np.linalg.norm(blocks, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise InvalidInputError("zero homographic embedding")
+        blocks = blocks / norms
+    return blocks
+
+
+def reference_hartley_normalize(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Similarity transform taking points to zero centroid, mean distance sqrt(2).
+
+    Parameters
+    ----------
+    points : (n, 2) pixel coordinates, n >= 2 with at least 2 distinct points.
+
+    Returns
+    -------
+    (T, hpoints) where T is the (3, 3) upper-triangular transform and
+    hpoints is the (n, 3) array of transformed homogeneous points.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if points.shape[0] < 2 or points.shape[1] != 2:
+        raise InvalidInputError(f"expected (n>=2, 2) points, got {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("points contain non-finite coordinates")
+
+    centroid = points.mean(axis=0)
+    dists = np.linalg.norm(points - centroid, axis=1)
+    mean_dist = dists.mean()
+    if mean_dist <= 0.0:
+        raise DegenerateInputError("all points identical: normalization scale undefined")
+
+    s = np.sqrt(2.0) / mean_dist
+    T = np.array(
+        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
+    )
+    return T, homogeneous(points) @ T.T
+
+
+def reference_irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | None,
+                   c_huber: float | None = None) -> np.ndarray:
+    """The IRLS loop behind every solver: a robust (d, codim) nullspace basis.
+
+    ``data`` is (d, n) columns or (n, d, m) blocks; the residual of
+    correspondence i is ||B^T Y_i||_F over its m constraint rows. Weights and
+    objective are DPCP's (inverse residual with a floor, smoothed |r|) or,
+    given ``c_huber``, Huber's. The weighted covariance sum_i w_i Y_i Y_i^T is
+    one gemm on the stacked rows, which keeps the per-iteration reduction
+    order fixed (bit-reproducible) and fast; all ``codim`` directions are
+    updated jointly, so B stays orthonormal.
+    """
+    rows, m = constraint_rows(data)
+    rows = np.ascontiguousarray(rows)
+    n_rows, d = rows.shape
+    if not 1 <= codim < d:
+        raise InvalidInputError(f"codimension {codim} out of range for d={d}")
+    if n_rows < d - codim:
+        raise InsufficientDataError(f"need at least d-c={d - codim} constraints, got {n_rows}")
+    delta = cfg.weight_floor
+
+    def weights(r: np.ndarray) -> np.ndarray:
+        if c_huber is None:
+            return 1.0 / np.maximum(r, delta)
+        return np.where(r <= c_huber, 1.0, c_huber / np.maximum(r, c_huber))
+
+    def objective(basis: np.ndarray) -> tuple[np.ndarray, float]:
+        r = np.linalg.norm((rows @ basis).reshape(-1, m * codim), axis=1)
+        loss = smoothed_abs(r, delta) if c_huber is None else huber_loss(r, c_huber)
+        return r, float(np.sum(loss))
+
+    # Only this first update validates (a NaN or inf in the data reaches
+    # rows^T rows); the reweighted ones are a bare eigh on the same rows.
+    basis = least_eigvecs(rows.T @ rows, codim)
+    resid, obj = objective(basis)
+    if trace is not None:
+        trace.append(obj)
+    for _ in range(cfg.tau_max):
+        w_rows = np.repeat(weights(resid), m)
+        _, vecs = np.linalg.eigh((rows * w_rows[:, None]).T @ rows)
+        basis = apply_sign_convention(np.ascontiguousarray(vecs[:, :codim]))
+        resid, new_obj = objective(basis)
+        if trace is not None:
+            trace.append(new_obj)
+        if obj - new_obj < cfg.tol:
+            break
+        obj = new_obj
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# Scoring: transfer residuals and the truncated quadratic score
+# ---------------------------------------------------------------------------
+
+
+def _bytes(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _homographies(rng: np.random.Generator, k: int) -> np.ndarray:
+    """(k, 3, 3) pixel-space homographies near the identity, alternately in
+    row-major and column-major (``unvec_model``) layout."""
+    h = np.eye(3) + 0.1 * rng.standard_normal((k, 3, 3))
+    h[:, :2, 2] *= 1000.0
+    h[:, 2, :2] *= 1e-3
+    if rng.integers(2):
+        h = np.swapaxes(np.ascontiguousarray(np.swapaxes(h, 1, 2)), 1, 2)
+    return h
+
+
+def _lifted(rng: np.random.Generator, n: int) -> np.ndarray:
+    return homogeneous(rng.uniform(-200.0, 1200.0, (n, 2))) if n else np.empty((0, 3))
+
+
+TRANSFER_KERNELS = [(transfer_error, reference_transfer),
+                    (symmetric_transfer_error, reference_symmetric_transfer)]
+
+
+@pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward", "symmetric"])
+@pytest.mark.parametrize("k", [1, 3, 54])
+@pytest.mark.parametrize("n", [0, 1, 7, 300, 10_000])
+def test_transfer_equals_reference_on_seeded_stacks(kernel, reference, k, n):
+    rng = np.random.default_rng(1000 * k + n)
+    for _ in range(3 if n < 10_000 else 1):
+        h, h1, h2 = _homographies(rng, k), _lifted(rng, n), _lifted(rng, n)
+        got = kernel(h, h1, h2)
+        assert _bytes(got) == _bytes(reference(h, h1, h2))
+        assert not np.isnan(got).any()
+
+
+def _edge_stacks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Models whose third row is (1, 0, 0), so w is the point's x, on points
+    with x = 0, +-1e-13, +-1e-12 and 1e305; a NaN entry; a zero third row; a
+    1e300-scaled model; a singular one; and one ordinary model."""
+    rng = np.random.default_rng(7)
+    x = np.array([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, 1e305, -1e305, 3.0, 250.0])
+    y = np.array([1.0, 2.0, -5.0, 1e305, 7.0, 0.0, 1.0, 4.0, 1e-13, 80.0])
+    h1 = homogeneous(np.stack([x, y], axis=1))
+    h2 = homogeneous(rng.uniform(-10.0, 10.0, (len(x), 2)))
+    h2[3] = [1e305, -1e305, 1.0]
+    h = np.repeat(np.eye(3)[None], 7, axis=0)
+    h[0, 2] = [1.0, 0.0, 0.0]
+    h[1, 2] = [1.0, 0.5, 0.0]
+    h[2, 0, 1] = np.nan
+    h[3, 2] = 0.0
+    h[4] *= 1e300
+    h[5, 1] = h[5, 0]  # singular
+    h[6] += 0.01 * rng.standard_normal((3, 3))
+    return h, h1, h2
+
+
+@pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward", "symmetric"])
+def test_transfer_equals_reference_on_edge_rows(kernel, reference):
+    h, h1, h2 = _edge_stacks()
+    with np.errstate(all="ignore"):  # overflowing products and determinants
+        want = reference(h, h1, h2)
+        got = kernel(h, h1, h2)
+        rows = [(kernel(h[k], h1, h2), kernel(h[k:k + 1], h1, h2)) for k in range(len(h))]
+    assert _bytes(got) == _bytes(want)
+    assert np.isinf(got).any() and not np.isnan(got).any()
+    for k, (alone, stacked) in enumerate(rows):  # one model at a time gives the stack's rows
+        assert _bytes(alone) == _bytes(got[k])
+        assert _bytes(stacked) == _bytes(got[k:k + 1])
+
+
+def _residual_rows(rng: np.random.Generator, k: int, n: int, epsilon: float) -> np.ndarray:
+    """Residuals mostly in [0, 3 eps], some exactly 0 or eps, some inf, NaN
+    or with r / eps above 1e154."""
+    r = epsilon * rng.uniform(0.0, 3.0, (k, n))
+    pick = rng.integers(0, 12, (k, n))
+    r[pick == 0] = 0.0
+    r[pick == 1] = epsilon
+    r[pick == 2] = np.inf
+    r[pick == 3] = np.nan
+    r[pick == 4] = epsilon * 10.0 ** rng.uniform(154.5, 300.0, np.count_nonzero(pick == 4))
+    return r
+
+
+@pytest.mark.parametrize("epsilon", [3.0, 0.5, 1e-3])
+@pytest.mark.parametrize("k", [1, 3, 54])
+@pytest.mark.parametrize("n", [0, 1, 7, 300, 10_000])
+def test_truncated_score_equals_reference(epsilon, k, n):
+    rng = np.random.default_rng(int(1e6 * epsilon) + 100 * k + n)
+    r = _residual_rows(rng, k, n, epsilon)
+    with np.errstate(all="ignore"):
+        want = reference_truncated_quadratic_score(r, epsilon)
+    assert _bytes(truncated_quadratic_score(r, epsilon)) == _bytes(want)
+    for row in r:
+        with np.errstate(all="ignore"):
+            want = reference_truncated_quadratic_score(row, epsilon)
+        got = truncated_quadratic_score(row, epsilon)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+# ---------------------------------------------------------------------------
+# Set-up: Hartley normalization and homographic embeddings
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 7, 300, 10_000])
+def test_hartley_equals_reference(n):
+    rng = np.random.default_rng(n)
+    for scale, offset in ((1.0, 0.0), (640.0, 320.0), (1e-6, 1e6), (1e150, 0.0)):
+        points = offset + scale * rng.standard_normal((n, 2))
+        with np.errstate(all="ignore"):
+            want = reference_hartley_normalize(points)
+            got = hartley_normalize(points)
+        assert [_bytes(a) for a in got] == [_bytes(a) for a in want]
+
+
+@pytest.mark.parametrize("unit", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 7, 300, 10_000])
+def test_homographic_embeddings_equal_reference(n, unit):
+    rng = np.random.default_rng(n)
+    for lift in (_lifted, lambda rng, n: hartley_normalize(rng.uniform(0, 640, (max(n, 2), 2)))[1][:n]):
+        x1h, x2h = lift(rng, n), lift(rng, n)
+        if n:
+            x1h[0, :2] = [-0.0, -3.0]  # a signed zero and negative coordinates
+            x2h[-1, :2] = [0.0, -1e-300]
+        got = homographic_embeddings(x1h, x2h, unit=unit)
+        assert got.shape == (n, 9, 2)
+        assert _bytes(got) == _bytes(reference_homographic_embeddings(x1h, x2h, unit=unit))
+        assert _bytes(constraint_rows(got)[0]) == \
+            _bytes(constraint_rows(reference_homographic_embeddings(x1h, x2h, unit=unit))[0])
+
+
+def test_homographic_embeddings_zero_block_raises_as_reference():
+    x1h = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
+    x2h = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 1.0]])
+    for embed in (homographic_embeddings, reference_homographic_embeddings):
+        with pytest.raises(InvalidInputError):
+            embed(x1h, x2h)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_norms_equal_linalg_norm_below_eight_entries(width):
+    rng = np.random.default_rng(width)
+    a = rng.standard_normal((5000, width)) * 10.0 ** rng.uniform(-150.0, 150.0, (5000, width))
+    with np.errstate(all="ignore"):
+        assert _bytes(row_norms(a)) == _bytes(np.linalg.norm(a, axis=1))
+
+
+# ---------------------------------------------------------------------------
+# IRLS
+# ---------------------------------------------------------------------------
+
+
+def _irls_inputs() -> dict[str, np.ndarray]:
+    """Seeded (9, n) epipolar columns and (n, 9, 2) homographic blocks with
+    about 30 % gross outliers, and a (9, 2000) random matrix."""
+    rng = np.random.default_rng(11)
+    x1 = rng.uniform(0.0, 640.0, (3000, 2))
+    h = np.array([[1.02, 0.05, 12.0], [-0.03, 0.98, -7.0], [2e-5, -1e-5, 1.0]])
+    mapped = homogeneous(x1) @ h.T
+    x2 = mapped[:, :2] / mapped[:, 2:] + rng.normal(0.0, 0.5, (3000, 2))
+    x2[:900] = rng.uniform(0.0, 640.0, (900, 2))
+    _, x1n = hartley_normalize(x1)
+    _, x2n = hartley_normalize(x2)
+    return {
+        "blocks": homographic_embeddings(x1n, x2n),
+        "columns": epipolar_embeddings(x1n, x2n),
+        "random": rng.standard_normal((9, 2000)),
+    }
+
+
+IRLS_CASES = [
+    ("blocks", 1, None), ("blocks", 1, 0.01), ("blocks", 2, None), ("blocks", 3, None),
+    ("columns", 1, None), ("columns", 1, 0.01), ("columns", 3, None),
+    ("random", 1, None), ("random", 2, 0.5), ("random", 5, None), ("random", 7, None),
+]
+
+
+@pytest.mark.parametrize("layout, codim, c_huber", IRLS_CASES)
+def test_irls_equals_reference(layout, codim, c_huber):
+    """Same basis bytes and the same objective trace, so the same iteration
+    count, for the sign-once loop with entry-order row norms."""
+    data = _irls_inputs()[layout]
+    for cfg in (IrlsConfig(), IrlsConfig(tau_max=3), IrlsConfig(tol=1e-12)):
+        want_trace: list[float] = []
+        got_trace: list[float] = []
+        want = reference_irls(data, codim, cfg, want_trace, c_huber)
+        got = _irls(data, codim, cfg, got_trace, c_huber)
+        assert _bytes(got) == _bytes(want)
+        assert [t.hex() for t in got_trace] == [t.hex() for t in want_trace]
+        assert len(want_trace) > 2

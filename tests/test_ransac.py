@@ -322,7 +322,8 @@ def test_numpy_integer_config_accepted():
 def _plain(value):
     """A report value with its arrays as (dtype, shape, bytes), for exact comparison."""
     if isinstance(value, ScoredModel):
-        return tuple(_plain(getattr(value, f.name)) for f in fields(value))
+        return tuple(_plain(getattr(value, name)) for name in
+                     [f.name for f in fields(value)] + ["inlier_mask", "inlier_count"])
     if isinstance(value, ModelMatrix):
         return value.kind, _plain(value.m)
     if isinstance(value, np.ndarray):
@@ -412,3 +413,34 @@ def test_no_score_call_exceeds_the_block(monkeypatch, problem, n_in, n_out, opti
     log = _BatchLog(monkeypatch)
     run_ransac(problem, ds.x1, ds.x2, RansacConfig(epsilon=2.0, seed=1, **options), ds.image_size)
     assert log.sizes and max(log.sizes) <= max(ransac._BLOCK, ds.n)
+
+
+# ---------------------------------------------------------------------------
+# ScoredModel reads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("problem, symmetric", [
+    (FUNDAMENTAL, False), (HOMOGRAPHY, False), (HOMOGRAPHY, True),
+], ids=["F", "H", "H-symmetric"])
+def test_stack_row_equals_single_score(problem, symmetric):
+    """Row k of a stacked score is the single-model score of model k, field
+    for field, the inlier mask and count computed on demand included."""
+    ds = synth_dataset(SynthConfig(problem, 80, 40, noise_sigma=1.0, seed=4))
+    setup = ProblemSetup(problem, ds.x1, ds.x2, ds.image_size, symmetric)
+    samples = draw_minimal_sample(np.random.default_rng(0), setup.n, setup.sample_size, 12)
+    found = setup.minimal_solve(samples)
+    stack = setup.score(found.models, 3.0)
+    k_models = len(found)
+    assert stack.inlier_mask.dtype == bool and stack.inlier_mask.shape == (k_models, setup.n)
+    assert isinstance(stack.inlier_count, np.ndarray) and stack.inlier_count.shape == (k_models,)
+    assert stack.inlier_count.any()
+    for k in range(k_models):
+        row = stack.row(k)
+        single = setup.score(ModelMatrix(found.models.m[k], problem), 3.0)
+        assert _plain(row) == _plain(single)
+        assert type(row.inlier_count) is int and type(single.inlier_count) is int
+        assert row.inlier_mask.dtype == bool and row.inlier_mask.shape == (setup.n,)
+        assert row.inlier_count == stack.inlier_count[k]
+        assert row.inlier_mask.tobytes() == stack.inlier_mask[k].tobytes()
+        assert row.inlier_mask.tobytes() == classify_inliers(single.residuals, 3.0).tobytes()
