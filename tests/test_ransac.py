@@ -444,3 +444,18 @@ def test_stack_row_equals_single_score(problem, symmetric):
         assert row.inlier_count == stack.inlier_count[k]
         assert row.inlier_mask.tobytes() == stack.inlier_mask[k].tobytes()
         assert row.inlier_mask.tobytes() == classify_inliers(single.residuals, 3.0).tobytes()
+
+
+def test_mask_and_count_follow_the_threshold():
+    """The on-demand mask is residual <= epsilon, boundary inclusive, with
+    inf and NaN residuals outside; the count is per model."""
+    eps = 3.0
+    r = np.array([[0.0, eps, np.nextafter(eps, np.inf), np.inf, np.nan],
+                  [eps, eps, 1.0, 4.0, 0.5]])
+    stack = ScoredModel(ModelMatrix(np.stack([np.eye(3)] * 2), HOMOGRAPHY), np.zeros(2), r, eps)
+    assert stack.inlier_mask.tolist() == [[True, True, False, False, False],
+                                          [True, True, True, False, True]]
+    assert stack.inlier_count.tolist() == [2, 4]
+    row = stack.row(0)
+    assert row.inlier_mask.tolist() == [True, True, False, False, False]
+    assert type(row.inlier_count) is int and row.inlier_count == 2
