@@ -10,7 +10,6 @@ a seeded benchmarking harness.
 
 from .exceptions import (
     DegenerateInputError,
-    DegenerateSampleError,
     EstimationFailedError,
     GenerationFailedError,
     InsufficientDataError,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateInputError",
-    "DegenerateSampleError",
     "EstimationFailedError",
     "FUNDAMENTAL",
     "GenerationFailedError",

@@ -16,7 +16,12 @@ class DegenerateInputError(RobustFitError):
 
 
 class DegenerateSampleError(RobustFitError):
-    """A minimal sample is rank-deficient; the caller should resample."""
+    """A minimal sample is rank-deficient.
+
+    Nothing in the package raises it: a degenerate sample adds no candidates
+    to a solver's stack. It stays only because ``perfbench/tracing.py``
+    imports it; ROADMAP item 1, which repairs that tracer, deletes it.
+    """
 
 
 class InsufficientDataError(RobustFitError):

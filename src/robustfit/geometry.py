@@ -36,11 +36,6 @@ class ModelMatrix:
     m: np.ndarray
     kind: str
 
-    @property
-    def vec(self) -> np.ndarray:
-        """Column-major vectorization (the shared embedding convention)."""
-        return self.m.flatten(order="F")
-
 
 def vec_model(m: np.ndarray) -> np.ndarray:
     """(3, 3) -> (9,), or (K, 3, 3) -> (K, 9) rows (a view of ``unvec_model`` output)."""

@@ -32,12 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateSampleError,
-    EstimationFailedError,
-    InsufficientDataError,
-    InvalidInputError,
-)
+from .exceptions import EstimationFailedError, InsufficientDataError, InvalidInputError
 from .geometry import (
     FUNDAMENTAL,
     HOMOGRAPHY,
@@ -52,8 +47,7 @@ from .geometry import (
     unvec_model,
 )
 from .solvers import (
-    FUNDAMENTAL_SAMPLE_SIZE,
-    HOMOGRAPHY_SAMPLE_SIZE,
+    SAMPLE_SIZE,
     Candidates,
     dlt_refit,
     fundamental_7pt,
@@ -119,6 +113,9 @@ class RansacConfig:
         if image_size is None:
             raise InvalidInputError("sigma-based threshold needs the image size")
         w, h = image_size
+        # Chained comparisons reject NaN as well as infinities.
+        if not (0.0 < w < math.inf and 0.0 < h < math.inf):
+            raise InvalidInputError(f"image_size must be positive and finite, got {image_size!r}")
         return float(self.sigma) * math.hypot(w, h)
 
 
@@ -262,14 +259,13 @@ class ProblemSetup:
         self.h2 = homogeneous(self.x2)
         self.t1, self.x1n = hartley_normalize(self.x1)
         self.t2, self.x2n = hartley_normalize(self.x2)
+        self.sample_size = SAMPLE_SIZE[problem]
         # The one per-problem branch. Kernels are bound per instance, so a
         # tracer that wrapped the module globals before the run reaches them.
         if problem == FUNDAMENTAL:
-            self.sample_size = FUNDAMENTAL_SAMPLE_SIZE
             self.solver, self.constrain = fundamental_7pt, rank2_project
             self.embeddings = epipolar_embeddings(self.x1n, self.x2n).T[:, :, None]
         else:
-            self.sample_size = HOMOGRAPHY_SAMPLE_SIZE
             self.solver, self.constrain = homography_4pt, None
             self.embeddings = homographic_embeddings(self.x1n, self.x2n)
 
@@ -278,22 +274,10 @@ class ProblemSetup:
         r = model_residuals(model, self.h1, self.h2, self.symmetric_transfer)
         return ScoredModel(model, truncated_quadratic_score(r, epsilon), r, epsilon)
 
-    def minimal_solve(self, indices: np.ndarray) -> list[ModelMatrix] | Candidates:
-        """Run the minimal solver; models returned in pixel space.
-
-        ``indices`` is one (s,) sample, which gives its list of models or
-        raises DegenerateSampleError, or a (B, s) stack of samples, which
-        gives the Candidates of all of them in sample order.
-        """
-        samples = np.asarray(indices)
-        stack = samples if samples.ndim == 2 else samples[None]
-        found = self.solver(self.x1n[stack], self.x2n[stack])
-        found = Candidates(denormalize_model(self.t1, self.t2, found.models), found.sample)
-        if samples.ndim == 2:
-            return found
-        if not len(found):
-            raise DegenerateSampleError("degenerate minimal sample")
-        return [ModelMatrix(m, self.problem) for m in found.models.m]
+    def minimal_solve(self, samples: np.ndarray) -> Candidates:
+        """Solve a (B, s) stack of index samples; the candidates in pixel space."""
+        found = self.solver(self.x1n[samples], self.x2n[samples])
+        return Candidates(denormalize_model(self.t1, self.t2, found.models), found.sample)
 
     def refit(self, inlier_mask: np.ndarray, method: str, cfg: RansacConfig) -> ModelMatrix | None:
         """Refit a model from the masked inliers; None below 8 constraint rows."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateSampleError, InsufficientDataError, InvalidInputError
+from .exceptions import InsufficientDataError, InvalidInputError
 from .geometry import (
     FUNDAMENTAL,
     HOMOGRAPHY,
@@ -28,8 +28,8 @@ from .linalg import least_singular_vector, solve_cubic_real
 
 _RANK_GAP = 1e-8
 
-FUNDAMENTAL_SAMPLE_SIZE = 7
-HOMOGRAPHY_SAMPLE_SIZE = 4
+# Points in one minimal sample, per problem.
+SAMPLE_SIZE = {FUNDAMENTAL: 7, HOMOGRAPHY: 4}
 
 
 @dataclass(frozen=True)
@@ -43,35 +43,25 @@ class Candidates:
         return len(self.sample)
 
 
-def _stacked(x1h: np.ndarray, x2h: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _stacked(x1h: np.ndarray, x2h: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    size = SAMPLE_SIZE[kind]
     x1s, x2s = (np.asarray(x, dtype=np.float64) for x in (x1h, x2h))
-    if x1s.ndim == 2:
-        x1s, x2s = x1s[None], x2s[None]
     if x1s.shape[1:] != (size, 3) or x2s.shape != x1s.shape:
-        raise InvalidInputError(f"the {size}-point solver needs exactly {size} correspondences")
+        raise InvalidInputError(
+            f"the {size}-point solver needs two (B, {size}, 3) stacks, got {x1s.shape} and {x2s.shape}"
+        )
     return x1s, x2s
 
 
-def fundamental_7pt(x1h: np.ndarray, x2h: np.ndarray) -> list[ModelMatrix] | Candidates:
-    """7-point fundamental-matrix solver.
+def fundamental_7pt(x1h: np.ndarray, x2h: np.ndarray) -> Candidates:
+    """7-point fundamental-matrix solver on (B, 7, 3) stacks of normalized
+    homogeneous points (third coordinate 1).
 
-    Parameters
-    ----------
-    x1h, x2h : (7, 3) homogeneous points (third coordinate 1), normalized,
-        or (B, 7, 3) stacks of B samples.
-
-    Returns
-    -------
-    For one sample, 1 to 3 unit-Frobenius rank-2 candidates. The stacked
-    constraint matrix must have a 2-dimensional nullspace {F1, F2}; each real
-    root of the cubic det(a*F1 + (1-a)*F2) = 0 yields one candidate. For a
-    stack, the candidates of all samples; a degenerate sample adds none.
-
-    Raises
-    ------
-    DegenerateSampleError : one rank-deficient sample (caller should resample).
+    A sample whose constraint matrix has a 2-dimensional nullspace {F1, F2}
+    yields one unit-Frobenius rank-2 candidate per real root of the cubic
+    det(a*F1 + (1-a)*F2) = 0. A degenerate sample adds no candidates.
     """
-    x1s, x2s = _stacked(x1h, x2h, 7)
+    x1s, x2s = _stacked(x1h, x2h, FUNDAMENTAL)
     b = x1s.shape[0]
     a = epipolar_embeddings(x1s.reshape(-1, 3), x2s.reshape(-1, 3)).T.reshape(b, 7, 9)
     _, s, vt = np.linalg.svd(a, full_matrices=True)
@@ -112,29 +102,23 @@ def fundamental_7pt(x1h: np.ndarray, x2h: np.ndarray) -> list[ModelMatrix] | Can
     owner = owner[keep]
     models = normalize_model(unvec_model(f[keep]), FUNDAMENTAL).m
     rank2 = np.abs(np.linalg.det(models)) <= 1e-9
-    found = Candidates(ModelMatrix(unvec_model(vec_model(models)[rank2]), FUNDAMENTAL),
-                       owner[rank2])
-    if np.ndim(x1h) == 3:
-        return found
-    if not len(found):
-        raise DegenerateSampleError("degenerate 7-point sample")
-    return [ModelMatrix(m, FUNDAMENTAL) for m in found.models.m]
+    return Candidates(ModelMatrix(unvec_model(vec_model(models)[rank2]), FUNDAMENTAL),
+                      owner[rank2])
 
 
 # The four ways to pick 3 of a sample's 4 points.
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
-def homography_4pt(x1h: np.ndarray, x2h: np.ndarray) -> ModelMatrix | Candidates:
-    """4-point homography solver (DLT on the 8 stacked constraint rows).
+def homography_4pt(x1h: np.ndarray, x2h: np.ndarray) -> Candidates:
+    """4-point homography solver (DLT on the 8 stacked constraint rows) on
+    (B, 4, 3) stacks of normalized homogeneous points.
 
-    ``x1h, x2h`` are (4, 3) normalized homogeneous points, or (B, 4, 3)
-    stacks. A sample is degenerate with 3 collinear points in either view (the
+    A sample is degenerate with 3 collinear points in either view (the
     solution is not unique there even when the 8x9 system keeps rank 8) or
-    any other rank deficiency: one sample then raises DegenerateSampleError,
-    and in a stack it adds no model.
+    any other rank deficiency. A degenerate sample adds no candidates.
     """
-    x1s, x2s = _stacked(x1h, x2h, 4)
+    x1s, x2s = _stacked(x1h, x2h, HOMOGRAPHY)
     b = x1s.shape[0]
     collinear = np.zeros(b, dtype=bool)
     for xs in (x1s, x2s):
@@ -145,12 +129,7 @@ def homography_4pt(x1h: np.ndarray, x2h: np.ndarray) -> ModelMatrix | Candidates
     _, s, vt = np.linalg.svd(a.reshape(-1, 8, 9), full_matrices=True)
     full_rank = ~(s[:, 7] < _RANK_GAP * s[:, 0])
     models = normalize_model(unvec_model(vt[full_rank, 8]), HOMOGRAPHY)
-    found = Candidates(models, sample[full_rank])
-    if np.ndim(x1h) == 3:
-        return found
-    if not len(found):
-        raise DegenerateSampleError("degenerate 4-point sample")
-    return ModelMatrix(found.models.m[0], HOMOGRAPHY)
+    return Candidates(models, sample[full_rank])
 
 
 def dlt_refit(blocks: np.ndarray) -> np.ndarray:

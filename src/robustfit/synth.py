@@ -27,7 +27,7 @@ from .geometry import (
     transfer_error,
 )
 from .ransac import check_seed
-from .solvers import FUNDAMENTAL_SAMPLE_SIZE, HOMOGRAPHY_SAMPLE_SIZE
+from .solvers import SAMPLE_SIZE
 
 _MAX_SCENE_TRIES = 64
 _MAX_POINT_ROUNDS = 64
@@ -49,9 +49,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.problem not in (FUNDAMENTAL, HOMOGRAPHY):
             raise InvalidInputError(f"unknown problem {self.problem!r}")
-        min_n = (
-            FUNDAMENTAL_SAMPLE_SIZE if self.problem == FUNDAMENTAL else HOMOGRAPHY_SAMPLE_SIZE
-        )
+        min_n = SAMPLE_SIZE[self.problem]
         if self.n_inliers < min_n:
             raise InvalidInputError(f"need at least {min_n} inliers for {self.problem}")
         if self.n_outliers < 0:

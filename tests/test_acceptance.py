@@ -71,14 +71,14 @@ def test_c2_minimal_solver_oracles():
         for seed in range(1000):
             ds = synth_fundamental(SynthConfig(FUNDAMENTAL, n_inliers=7, seed=seed))
             setup = ProblemSetup(FUNDAMENTAL, ds.x1, ds.x2)
-            cands = setup.minimal_solve(np.arange(7))
-            assert min(angle_between(c.vec, ds.truth.vec) for c in cands) <= 1e-6
-            assert all(abs(np.linalg.det(c.m)) <= 1e-9 for c in cands)
+            cands = setup.minimal_solve(np.arange(7)[None]).models.m
+            assert min(angle_between(c, ds.truth.m) for c in cands) <= 1e-6
+            assert all(abs(np.linalg.det(c)) <= 1e-9 for c in cands)
         for seed in range(1000):
             ds = synth_homography(SynthConfig(HOMOGRAPHY, n_inliers=4, seed=seed))
             setup = ProblemSetup(HOMOGRAPHY, ds.x1, ds.x2)
-            h = setup.minimal_solve(np.arange(4))[0]
-            assert angle_between(h.vec, ds.truth.vec) <= 1e-7
+            h = setup.minimal_solve(np.arange(4)[None]).models.m[0]
+            assert angle_between(h, ds.truth.m) <= 1e-7
 
 
 def test_c3_dpcp_exact_recovery():

@@ -197,7 +197,7 @@ def test_denormalize_recovers_pixel_homography():
     t2, x2n = hartley_normalize(x2)
     hn = t2 @ h_true @ np.linalg.inv(t1)  # model in normalized frames
     rec = denormalize_model(t1, t2, normalize_model(hn, HOMOGRAPHY))
-    assert angle_between(rec.vec, vec_model(h_true)) <= 1e-8
+    assert angle_between(rec.m, h_true) <= 1e-8
 
 
 def test_denormalize_preserves_fundamental_residuals():

@@ -143,8 +143,8 @@ def test_local_optimize_improves_minimal_model():
         transfer_error(ds.truth.m, ds.x1, ds.x2) <= 3.0
     )
     sample = rng.choice(inlier_idx, 4, replace=False)
-    model = setup.minimal_solve(sample)[0]
-    scored = setup.score(model, cfg.epsilon)
+    found = setup.minimal_solve(sample[None])
+    scored = setup.score(ModelMatrix(found.models.m[0], HOMOGRAPHY), cfg.epsilon)
     out = local_optimize(scored, setup, cfg, cfg.epsilon)
     assert out.score >= scored.score
 
@@ -217,6 +217,23 @@ def test_run_ransac_budget_respected_and_epsilon_from_sigma():
     assert report.iterations_used <= 500
 
 
+@pytest.mark.parametrize("problem, n_in, n_out", [(FUNDAMENTAL, 120, 80), (HOMOGRAPHY, 100, 100)])
+def test_scale_and_shift_with_scaled_epsilon_keeps_the_inliers(problem, n_in, n_out):
+    """Scaling both images by 2, shifting them by (5, -3) and (-2, 7), and
+    doubling epsilon gives the same inlier mask on every seed."""
+    differ = []
+    for seed in range(30):
+        ds = synth_dataset(SynthConfig(problem, n_in, n_out, noise_sigma=1.0, seed=seed))
+        runs = [
+            run_ransac(problem, x1, x2, RansacConfig(epsilon=eps, lo_method="dpcp", seed=seed))
+            for x1, x2, eps in [(ds.x1, ds.x2, 3.0),
+                                (2.0 * ds.x1 + [5.0, -3.0], 2.0 * ds.x2 + [-2.0, 7.0], 6.0)]
+        ]
+        if not np.array_equal(runs[0].best.inlier_mask, runs[1].best.inlier_mask):
+            differ.append(seed)
+    assert differ == []
+
+
 def test_run_ransac_insufficient_data():
     ds = synth_dataset(SynthConfig(FUNDAMENTAL, 7, seed=10))
     cfg = RansacConfig(epsilon=1.0, seed=0)
@@ -281,6 +298,16 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_config_rejected(config, options):
     with pytest.raises(InvalidInputError):
         config(**options)
+
+
+@pytest.mark.parametrize("image_size", [(NAN, 480), (0, 0), (INF, 480), (-640, -480), (640, 0)])
+def test_sigma_threshold_needs_a_positive_finite_image_size(image_size):
+    ds = synth_dataset(SynthConfig(HOMOGRAPHY, 60, 20, noise_sigma=1.0, seed=1))
+    cfg = RansacConfig(sigma=0.005, t_max=2000, seed=0)
+    with pytest.raises(InvalidInputError, match="image_size"):
+        cfg.resolve_epsilon(image_size)
+    with pytest.raises(InvalidInputError, match="image_size"):
+        run_ransac(HOMOGRAPHY, ds.x1, ds.x2, cfg, image_size)
 
 
 @pytest.mark.parametrize("config, options", [

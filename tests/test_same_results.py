@@ -49,3 +49,7 @@ def test_missing_calls_and_cycles_are_differences():
         same_results.first_difference(RUNS, RUNS[:1])
     swapped = [RUNS[1], RUNS[0]]
     assert "the change ran workload lo-sweep" in same_results.first_difference(RUNS, swapped)
+
+
+def test_default_seeds():
+    assert same_results.DEFAULT_SEEDS == (1, *range(301, 311), 20261017)

@@ -37,3 +37,6 @@ def test_tracer_records_solver_and_dpcp_spans(problem, solver):
     metrics = tracer.layer_metrics(1.0)
     for span in (solver, "subspace.dpcp_irls_group", "ransac.refit", "ransac.minimal_solve"):
         assert metrics[f"{span}.calls"] >= 1, span
+    # The candidate counter reads the Candidates that minimal_solve returns.
+    assert metrics["ransac.candidates_per_sample.base"] >= 1
+    assert metrics["ransac.hypothesis_yield.base"] > 0
