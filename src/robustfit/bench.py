@@ -13,6 +13,7 @@ over all records in the cell (numpy 'linear' percentiles).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -34,14 +35,15 @@ def derive_trial_seed(master_seed: int, trial: int) -> int:
 
 @dataclass(frozen=True)
 class BenchSettings:
-    """Engine settings shared by every run in a sweep (threshold varies)."""
+    """Engine settings shared by every run in a sweep (threshold varies);
+    the defaults are RansacConfig's."""
 
-    confidence_p: float = 0.95
-    t_max: int = 10_000
-    lo_k_max: int = 20
-    huber_c: float = 0.01
+    confidence_p: float = RansacConfig.confidence_p
+    t_max: int = RansacConfig.t_max
+    lo_k_max: int = RansacConfig.lo_k_max
+    huber_c: float = RansacConfig.huber_c
     huber_sweep: bool = False
-    symmetric_transfer: bool = False
+    symmetric_transfer: bool = RansacConfig.symmetric_transfer
 
 
 def validation_error(report: RunReport, data: CorrespondenceFile,
@@ -135,10 +137,13 @@ def run_bench(
         for sigma in sigmas
         for trial in range(trials)
     ]
-    if jobs <= 1:
+    # A pool starts all its workers at once, so it gets no more than there
+    # are tasks or CPUs.
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         records = [_trial_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_trial_task, tasks, chunksize=8))
     return sorted(records, key=BenchRecord.sort_key)
 

@@ -39,25 +39,34 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _threshold_args(args) -> dict:
-    if (args.sigma is None) == (args.epsilon is None):
-        raise InvalidInputError("give exactly one of --sigma or --epsilon")
-    return {"sigma": args.sigma, "epsilon": args.epsilon}
+# Engine flags that estimate and bench share -> the RansacConfig field whose
+# default and type each takes.
+_ENGINE_FLAGS = {"--confidence": "confidence_p", "--tmax": "t_max",
+                 "--lo-kmax": "lo_k_max", "--huber-c": "huber_c"}
+
+
+def _engine_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag, name in _ENGINE_FLAGS.items():
+        default = getattr(RansacConfig, name)
+        shared.add_argument(flag, type=type(default), default=default)
+    shared.add_argument("--symmetric-transfer", action="store_true",
+                        help="homography residual: forward + backward transfer error")
+    return shared
+
+
+def _engine_settings(args) -> dict:
+    """The shared engine flags as RansacConfig (and BenchSettings) fields."""
+    settings = {name: getattr(args, flag[2:].replace("-", "_"))
+                for flag, name in _ENGINE_FLAGS.items()}
+    return {**settings, "symmetric_transfer": args.symmetric_transfer}
 
 
 def cmd_estimate(args) -> int:
     data = parse_correspondences(args.input)
     problem = args.problem or data.problem
-    cfg = RansacConfig(
-        confidence_p=args.confidence,
-        t_max=args.tmax,
-        lo_method=args.lo,
-        lo_k_max=args.lo_kmax,
-        huber_c=args.huber_c,
-        seed=args.seed,
-        symmetric_transfer=args.symmetric_transfer,
-        **_threshold_args(args),
-    )
+    cfg = RansacConfig(epsilon=args.epsilon, sigma=args.sigma, lo_method=args.lo,
+                       seed=args.seed, **_engine_settings(args))
     try:
         report = run_ransac(problem, data.x1, data.x2, cfg, data.image_size)
     except EstimationFailedError as exc:
@@ -100,14 +109,7 @@ def cmd_bench(args) -> int:
         raise InvalidInputError("empty --methods or --sigmas sweep list")
     datasets = [(path.rsplit("/", 1)[-1].rsplit(".", 1)[0], parse_correspondences(path))
                 for path in args.input]
-    settings = BenchSettings(
-        confidence_p=args.confidence,
-        t_max=args.tmax,
-        lo_k_max=args.lo_kmax,
-        huber_c=args.huber_c,
-        huber_sweep=args.huber_sweep,
-        symmetric_transfer=args.symmetric_transfer,
-    )
+    settings = BenchSettings(huber_sweep=args.huber_sweep, **_engine_settings(args))
     records = run_bench(
         datasets, methods, sigmas, args.trials, args.seed, settings, jobs=args.jobs
     )
@@ -150,25 +152,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust two-view model estimation with locally optimized RANSAC.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engine = _engine_parser()
 
-    est = sub.add_parser("estimate", help="estimate a model from a correspondence file")
+    est = sub.add_parser("estimate", parents=[engine],
+                         help="estimate a model from a correspondence file")
     est.add_argument("--problem", choices=(FUNDAMENTAL, HOMOGRAPHY), default=None,
                      help="defaults to the problem declared in the file header")
     est.add_argument("--input", required=True)
     est.add_argument("--sigma", type=float, default=None,
                      help="threshold as a multiple of the image diagonal")
     est.add_argument("--epsilon", type=float, default=None, help="threshold in pixels")
-    est.add_argument("--lo", choices=LO_METHODS, default="dpcp")
-    est.add_argument("--confidence", type=float, default=0.95)
-    est.add_argument("--tmax", type=int, default=10_000)
-    est.add_argument("--lo-kmax", type=int, default=20)
-    est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--huber-c", type=float, default=0.01)
-    est.add_argument("--symmetric-transfer", action="store_true",
-                     help="homography residual: forward + backward transfer error")
+    est.add_argument("--lo", choices=LO_METHODS, default=RansacConfig.lo_method)
+    est.add_argument("--seed", type=int, default=RansacConfig.seed)
     est.set_defaults(func=cmd_estimate)
 
-    ben = sub.add_parser("bench", help="seeded sweep over thresholds and LO methods")
+    ben = sub.add_parser("bench", parents=[engine],
+                         help="seeded sweep over thresholds and LO methods")
     ben.add_argument("--input", required=True, nargs="+",
                      help="one or more labeled correspondence files")
     ben.add_argument("--sigmas", required=True, help="comma-separated threshold multipliers")
@@ -176,25 +175,19 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--trials", type=int, default=10)
     ben.add_argument("--out", required=True, help="output CSV path")
     ben.add_argument("--seed", type=int, default=0, help="master seed")
-    ben.add_argument("--confidence", type=float, default=0.95)
-    ben.add_argument("--tmax", type=int, default=10_000)
-    ben.add_argument("--lo-kmax", type=int, default=20)
-    ben.add_argument("--huber-c", type=float, default=0.01)
     ben.add_argument("--huber-sweep", action="store_true",
                      help="average the huber method over c in {0.1, 0.01, 0.001}")
-    ben.add_argument("--symmetric-transfer", action="store_true",
-                     help="homography residual: forward + backward transfer error")
     ben.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     ben.set_defaults(func=cmd_bench)
 
     syn = sub.add_parser("synth", help="generate a labeled synthetic correspondence file")
     syn.add_argument("--problem", choices=(FUNDAMENTAL, HOMOGRAPHY), required=True)
     syn.add_argument("--inliers", type=int, required=True)
-    syn.add_argument("--outliers", type=int, default=0)
-    syn.add_argument("--noise", type=float, default=0.0)
-    syn.add_argument("--width", type=int, default=640)
-    syn.add_argument("--height", type=int, default=480)
-    syn.add_argument("--seed", type=int, default=0)
+    syn.add_argument("--outliers", type=int, default=SynthConfig.n_outliers)
+    syn.add_argument("--noise", type=float, default=SynthConfig.noise_sigma)
+    syn.add_argument("--width", type=int, default=SynthConfig.image_size[0])
+    syn.add_argument("--height", type=int, default=SynthConfig.image_size[1])
+    syn.add_argument("--seed", type=int, default=SynthConfig.seed)
     syn.add_argument("--degenerate-planar", action="store_true",
                      help="fundamental only: put all 3-d points on one plane")
     syn.add_argument("--out", required=True)

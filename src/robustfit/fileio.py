@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .geometry import FUNDAMENTAL, HOMOGRAPHY
 
 MAGIC = "robustfit"
 VERSION = "v1"
-CSV_HEADER = "dataset,method,sigma,trial,seed,error_px,inliers,iterations,lo_count,wall_ms"
 
 
 def fmt(value: float) -> str:
@@ -177,20 +177,14 @@ class BenchRecord:
         return (self.dataset, self.method, float(fmt(self.sigma)), self.trial)
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                self.dataset,
-                self.method,
-                fmt(self.sigma),
-                str(self.trial),
-                str(self.seed),
-                fmt(self.error_px),
-                fmt(self.inliers),
-                fmt(self.iterations),
-                fmt(self.lo_count),
-                fmt(self.wall_ms),
-            ]
-        )
+        return ",".join(write(getattr(self, name)) for name, write, _ in _COLUMNS)
+
+
+# The bench CSV columns are BenchRecord's fields, in order; each cell is
+# written and read by the field's declared type.
+_CELL = {str: (str, str), int: (str, int), float: (fmt, float)}
+_COLUMNS = tuple((name, *_CELL[kind]) for name, kind in get_type_hints(BenchRecord).items())
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
@@ -220,23 +214,10 @@ def parse_records_text(text: str) -> list[BenchRecord]:
     records = []
     for line_no, line in lines[1:]:
         cols = line.split(",")
-        if len(cols) != 10:
-            raise ParseError(f"expected 10 columns, got {len(cols)}", line_no)
+        if len(cols) != len(_COLUMNS):
+            raise ParseError(f"expected {len(_COLUMNS)} columns, got {len(cols)}", line_no)
         try:
-            records.append(
-                BenchRecord(
-                    dataset=cols[0],
-                    method=cols[1],
-                    sigma=float(cols[2]),
-                    trial=int(cols[3]),
-                    seed=int(cols[4]),
-                    error_px=float(cols[5]),
-                    inliers=float(cols[6]),
-                    iterations=float(cols[7]),
-                    lo_count=float(cols[8]),
-                    wall_ms=float(cols[9]),
-                )
-            )
+            records.append(BenchRecord(*(read(c) for (_, _, read), c in zip(_COLUMNS, cols))))
         except ValueError as exc:
             raise ParseError(f"bad record: {exc}", line_no) from None
     return records

@@ -240,10 +240,12 @@ def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int,
 
 
 class ProblemSetup:
-    """Precomputed per-dataset state: normalization, embeddings, residuals."""
+    """Precomputed per-dataset state: normalization, embeddings, residuals.
+
+    Fewer correspondences than one minimal sample raise InsufficientDataError.
+    """
 
     def __init__(self, problem: str, x1: np.ndarray, x2: np.ndarray,
-                 image_size: tuple[float, float] | None = None,
                  symmetric_transfer: bool = False):
         if problem not in (FUNDAMENTAL, HOMOGRAPHY):
             raise InvalidInputError(f"unknown problem {problem!r}")
@@ -254,12 +256,15 @@ class ProblemSetup:
         if self.x1.shape != self.x2.shape or self.x1.ndim != 2 or self.x1.shape[1] != 2:
             raise InvalidInputError("x1 and x2 must both have shape (n, 2)")
         self.n = self.x1.shape[0]
-        self.image_size = image_size
+        self.sample_size = SAMPLE_SIZE[problem]
+        if self.n < self.sample_size:
+            raise InsufficientDataError(
+                f"{self.n} correspondences < minimal sample size {self.sample_size}"
+            )
         self.h1 = homogeneous(self.x1)
         self.h2 = homogeneous(self.x2)
         self.t1, self.x1n = hartley_normalize(self.x1)
         self.t2, self.x2n = hartley_normalize(self.x2)
-        self.sample_size = SAMPLE_SIZE[problem]
         # The one per-problem branch. Kernels are bound per instance, so a
         # tracer that wrapped the module globals before the run reaches them.
         if problem == FUNDAMENTAL:
@@ -279,38 +284,39 @@ class ProblemSetup:
         found = self.solver(self.x1n[samples], self.x2n[samples])
         return Candidates(denormalize_model(self.t1, self.t2, found.models), found.sample)
 
-    def refit(self, inlier_mask: np.ndarray, method: str, cfg: RansacConfig) -> ModelMatrix | None:
-        """Refit a model from the masked inliers; None below 8 constraint rows."""
+    def refit(self, inlier_mask: np.ndarray, cfg: RansacConfig) -> ModelMatrix | None:
+        """Refit a model from the masked inliers with ``cfg.lo_method``; None
+        below 8 constraint rows."""
         data = self.embeddings[inlier_mask]
         if data.shape[0] * data.shape[2] < 8:
             return None
-        if method == "dlt":
+        if cfg.lo_method == "dlt":
             v = dlt_refit(data)
-        elif method == "huber":
+        elif cfg.lo_method == "huber":
             v = huber_irls(data, cfg.huber_c, cfg.irls)
-        elif method == "dpcp":
+        elif cfg.lo_method == "dpcp":
             # On (n, 9, 1) epipolar blocks this is the _irls call of dpcp_irls.
             v = dpcp_irls_group(data, cfg.irls)
         else:
-            raise InvalidInputError(f"unknown refit method {method!r}")
+            raise InvalidInputError(f"unknown refit method {cfg.lo_method!r}")
         model = normalize_model(unvec_model(v), self.problem)
         if self.constrain is not None:
             model = self.constrain(model)
         return denormalize_model(self.t1, self.t2, model)
 
 
-def local_optimize(scored: ScoredModel, setup: ProblemSetup, cfg: RansacConfig,
-                   epsilon: float) -> ScoredModel:
+def local_optimize(scored: ScoredModel, setup: ProblemSetup, cfg: RansacConfig) -> ScoredModel:
     """Local-optimization loop: classify, refit, rescore, stop when no gain.
 
-    Returns the best scored model seen, never worse than the input.
+    Every refit is scored at the input's threshold. Returns the best scored
+    model seen, never worse than the input.
     """
     best = scored
     for _ in range(cfg.lo_k_max):
-        refit = setup.refit(best.inlier_mask, cfg.lo_method, cfg)
+        refit = setup.refit(best.inlier_mask, cfg)
         if refit is None:
             break
-        rescored = setup.score(refit, epsilon)
+        rescored = setup.score(refit, best.epsilon)
         if rescored.score <= best.score:
             break
         best = rescored
@@ -365,15 +371,12 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
 
     Raises
     ------
+    InsufficientDataError : fewer correspondences than one minimal sample.
     EstimationFailedError : no sample yielded a model within the budget.
     """
     t_start = time.perf_counter()
-    setup = ProblemSetup(problem, x1, x2, image_size, cfg.symmetric_transfer)
+    setup = ProblemSetup(problem, x1, x2, cfg.symmetric_transfer)
     epsilon = cfg.resolve_epsilon(image_size)
-    if setup.n < setup.sample_size:
-        raise InsufficientDataError(
-            f"{setup.n} correspondences < minimal sample size {setup.sample_size}"
-        )
 
     rng = _seed_rng(cfg.seed)
     digest = hashlib.sha256()
@@ -407,7 +410,7 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
             scored = chunk.row(i)
             if cfg.lo_method != "none":
                 lo_invocations += 1
-                scored = local_optimize(scored, setup, cfg, epsilon)
+                scored = local_optimize(scored, setup, cfg)
             best = scored
             score_history.append(best.score)
             budget = min(

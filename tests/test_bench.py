@@ -1,8 +1,11 @@
 """Tests for the benchmark harness: pairing, aggregation, parallel determinism."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from robustfit import bench
 from robustfit.bench import (
     BenchSettings,
     derive_trial_seed,
@@ -14,7 +17,7 @@ from robustfit.bench import (
 from robustfit.exceptions import InvalidInputError
 from robustfit.fileio import BenchRecord, CorrespondenceFile, records_to_csv
 from robustfit.geometry import HOMOGRAPHY
-from robustfit.ransac import sample_stream_digest
+from robustfit.ransac import RansacConfig, sample_stream_digest
 from robustfit.synth import SynthConfig, synth_homography
 
 
@@ -122,6 +125,45 @@ def test_parallel_and_sequential_runs_match():
         )
 
     assert mask_wall(seq) == mask_wall(par)
+
+
+def test_bench_settings_default_to_the_engine_defaults():
+    engine = RansacConfig(epsilon=1.0)
+    for f in fields(BenchSettings):
+        if f.name != "huber_sweep":
+            assert getattr(BenchSettings(), f.name) == getattr(engine, f.name), f.name
+
+
+@pytest.mark.parametrize("jobs, cpus, trials, workers", [
+    (1000, 64, 3, [3]),  # capped by the tasks
+    (1000, 2, 3, [2]),  # capped by the CPUs
+    (2, 64, 3, [2]),  # as asked
+    (1000, None, 3, []),  # unknown CPU count: one, in process
+    (1000, 64, 1, []),  # one task: in process
+])
+def test_bench_pool_never_exceeds_tasks_or_cpus(monkeypatch, jobs, cpus, trials, workers):
+    """A stand-in pool records its size and maps in process; no worker starts."""
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    records = run_bench([("ds", make_dataset(n_in=20, n_out=0))], ["none"], [0.005], trials, 3,
+                        BenchSettings(t_max=5), jobs=jobs)
+    assert started == workers
+    assert [r.trial for r in records] == list(range(trials))
 
 
 def test_summarize_matches_independent_recompute():

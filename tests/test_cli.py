@@ -6,8 +6,12 @@ import re
 import numpy as np
 import pytest
 
+from robustfit import cli
+from robustfit.bench import BenchSettings
 from robustfit.cli import main
 from robustfit.fileio import BenchRecord, parse_correspondences, parse_records, write_records
+from robustfit.ransac import RansacConfig
+from robustfit.synth import SynthConfig
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +124,62 @@ def test_estimate_usage_error_on_double_threshold(synth_file, capsys):
         capsys, "estimate", "--input", str(path), "--sigma", "0.01", "--epsilon", "2",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("thresholds", [("--sigma", "0.01", "--epsilon", "2"), ()],
+                         ids=["both", "neither"])
+def test_estimate_needs_exactly_one_threshold(synth_file, capsys, thresholds):
+    path, _ = synth_file
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path), *thresholds)
+    assert code == 2
+    assert out == ""
+    assert err == "robustfit: exactly one of epsilon or sigma must be set\n"
+
+
+@pytest.mark.parametrize("records", [0, 1, 3])
+def test_too_few_correspondences_exit_code(tmp_path, capsys, records):
+    """A homography file with fewer records than one 4-point sample exits 4,
+    the header-only file included."""
+    lines = ["# robustfit v1 homography 640 480"]
+    lines += [f"{10 * i} {20 * i + 5} {30 * i + 1} {15 * i}" for i in range(records)]
+    path = tmp_path / "few.rf"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--epsilon", "2")
+    assert code == 4
+    assert out == ""
+    assert err == f"robustfit: {records} correspondences < minimal sample size 4\n"
+
+
+class _Built(Exception):
+    """Raised by a stand-in to stop a command once it has built its settings."""
+
+
+def _built(monkeypatch, name, *argv):
+    """The arguments a command passes to ``cli.<name>`` when run with ``argv``."""
+    seen = []
+
+    def stand_in(*args, **kwargs):
+        seen.append(args)
+        raise _Built
+
+    monkeypatch.setattr(cli, name, stand_in)
+    with pytest.raises(_Built):
+        main(list(argv))
+    return seen[0]
+
+
+def test_required_flags_alone_give_the_config_defaults(monkeypatch, synth_file, tmp_path):
+    """Each command's defaults are those of the config it builds."""
+    path, _ = synth_file
+    out = str(tmp_path / "out")
+    est = _built(monkeypatch, "run_ransac", "estimate", "--input", str(path), "--epsilon", "2")
+    assert est[3] == RansacConfig(epsilon=2.0)
+    ben = _built(monkeypatch, "run_bench", "bench", "--input", str(path), "--sigmas", "0.01",
+                 "--methods", "dpcp", "--out", out)
+    assert ben[5] == BenchSettings()
+    syn = _built(monkeypatch, "synth_dataset", "synth", "--problem", "homography",
+                 "--inliers", "20", "--out", out)
+    assert syn[0] == SynthConfig("homography", 20)
 
 
 @pytest.mark.parametrize("threshold", [("--epsilon", "nan"), ("--sigma", "inf")])

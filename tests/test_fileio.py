@@ -100,6 +100,17 @@ def test_csv_round_trip():
     assert records_to_csv(parsed) == text
 
 
+def test_csv_columns_are_pinned():
+    """The header and a row's cells are fixed bytes, so a new BenchRecord
+    field cannot change the format unseen."""
+    assert CSV_HEADER == "dataset,method,sigma,trial,seed,error_px,inliers,iterations,lo_count,wall_ms"
+    rec = BenchRecord("H160-40", "dpcp", 0.0025, 7, 2**63 + 5, 1.0 / 3.0, 151.0, 49.0, 2.0,
+                      12.345678912)
+    assert rec.to_csv_row() == "H160-40,dpcp,0.0025,7,9223372036854775813,0.333333333,151,49,2,12.3456789"
+    with pytest.raises(ParseError, match="expected 10 columns, got 11"):
+        parse_records_text(CSV_HEADER + "\n" + rec.to_csv_row() + ",0\n")
+
+
 def test_csv_rejects_bad_header_and_rows():
     with pytest.raises(ParseError):
         parse_records_text("dataset,method\n")

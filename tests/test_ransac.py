@@ -33,6 +33,7 @@ from robustfit.ransac import (
     sample_stream_digest,
     truncated_quadratic_score,
 )
+from robustfit.solvers import SAMPLE_SIZE
 from robustfit.subspace import IrlsConfig
 from robustfit.synth import SynthConfig, synth_dataset
 
@@ -122,7 +123,7 @@ def _setup_and_cfg(problem, noise, outliers, seed, eps, lo):
     ds = synth_dataset(
         SynthConfig(problem, n_inliers=n_in, n_outliers=outliers, noise_sigma=noise, seed=seed)
     )
-    setup = ProblemSetup(problem, ds.x1, ds.x2, ds.image_size)
+    setup = ProblemSetup(problem, ds.x1, ds.x2)
     cfg = RansacConfig(epsilon=eps, lo_method=lo, seed=seed)
     return ds, setup, cfg
 
@@ -130,7 +131,7 @@ def _setup_and_cfg(problem, noise, outliers, seed, eps, lo):
 def test_local_optimize_never_worse_and_fixed_point():
     ds, setup, cfg = _setup_and_cfg(HOMOGRAPHY, 0.0, 0, 3, 1.0, "dlt")
     truth_scored = setup.score(ds.truth, cfg.epsilon)
-    out = local_optimize(truth_scored, setup, cfg, cfg.epsilon)
+    out = local_optimize(truth_scored, setup, cfg)
     assert out.score >= truth_scored.score
     # Noiseless data: the truth is already optimal, one non-improving round.
     assert out.score == pytest.approx(truth_scored.score, abs=1e-9)
@@ -145,8 +146,21 @@ def test_local_optimize_improves_minimal_model():
     sample = rng.choice(inlier_idx, 4, replace=False)
     found = setup.minimal_solve(sample[None])
     scored = setup.score(ModelMatrix(found.models.m[0], HOMOGRAPHY), cfg.epsilon)
-    out = local_optimize(scored, setup, cfg, cfg.epsilon)
+    out = local_optimize(scored, setup, cfg)
     assert out.score >= scored.score
+
+
+def test_local_optimize_scores_at_the_input_threshold():
+    """LO rescores at the threshold its input was scored at, not at cfg's:
+    a model scored at 3 px comes back scored at 3 px."""
+    ds = synth_dataset(SynthConfig(HOMOGRAPHY, 100, 100, noise_sigma=1.0, seed=0))
+    setup = ProblemSetup(HOMOGRAPHY, ds.x1, ds.x2)
+    cfg = RansacConfig(epsilon=30.0, lo_method="dpcp")
+    scored = setup.score(ds.truth, 3.0)
+    out = local_optimize(scored, setup, cfg)
+    assert out.epsilon == 3.0
+    assert out.score == setup.score(out.model, 3.0).score
+    assert scored.score <= out.score < setup.score(ds.truth, 30.0).score
 
 
 def test_run_ransac_perfect_data():
@@ -239,6 +253,19 @@ def test_run_ransac_insufficient_data():
     cfg = RansacConfig(epsilon=1.0, seed=0)
     with pytest.raises(InsufficientDataError):
         run_ransac(FUNDAMENTAL, ds.x1[:5], ds.x2[:5], cfg, ds.image_size)
+
+
+@pytest.mark.parametrize("problem", [FUNDAMENTAL, HOMOGRAPHY])
+def test_fewer_points_than_one_sample_is_insufficient_data(problem):
+    """Every n below the sample size raises InsufficientDataError, n = 0 and
+    1 (which normalization cannot take) included."""
+    ds = synth_dataset(SynthConfig(problem, 8, seed=10))
+    cfg = RansacConfig(epsilon=1.0)
+    for n in range(SAMPLE_SIZE[problem]):
+        with pytest.raises(InsufficientDataError, match=f"^{n} correspondences"):
+            ProblemSetup(problem, ds.x1[:n], ds.x2[:n])
+        with pytest.raises(InsufficientDataError, match=f"^{n} correspondences"):
+            run_ransac(problem, ds.x1[:n], ds.x2[:n], cfg)
 
 
 def test_run_ransac_estimation_failed_carries_report():
@@ -454,7 +481,7 @@ def test_stack_row_equals_single_score(problem, symmetric):
     """Row k of a stacked score is the single-model score of model k, field
     for field, the inlier mask and count computed on demand included."""
     ds = synth_dataset(SynthConfig(problem, 80, 40, noise_sigma=1.0, seed=4))
-    setup = ProblemSetup(problem, ds.x1, ds.x2, ds.image_size, symmetric)
+    setup = ProblemSetup(problem, ds.x1, ds.x2, symmetric)
     samples = draw_minimal_sample(np.random.default_rng(0), setup.n, setup.sample_size, 12)
     found = setup.minimal_solve(samples)
     stack = setup.score(found.models, 3.0)
