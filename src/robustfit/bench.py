@@ -26,6 +26,9 @@ from .ransac import LO_METHODS, RansacConfig, RunReport, check_seed, run_ransac
 
 HUBER_SWEEP = (0.1, 0.01, 0.001)
 
+# Relative error slack of select_thresholds, and the CLI's --tolerance default.
+SELECT_TOLERANCE = 0.01
+
 
 def derive_trial_seed(master_seed: int, trial: int) -> int:
     """Per-trial 64-bit seed: first word of SeedSequence([master_seed, trial])."""
@@ -46,9 +49,10 @@ class BenchSettings:
     symmetric_transfer: bool = RansacConfig.symmetric_transfer
 
 
-def validation_error(report: RunReport, data: CorrespondenceFile,
-                     symmetric_transfer: bool = False) -> float:
-    """Mean pixel residual of the estimated model over validation inliers."""
+def validation_error(report: RunReport, data: CorrespondenceFile, *,
+                     symmetric_transfer: bool) -> float:
+    """Mean pixel residual of the estimated model over validation inliers;
+    ``symmetric_transfer`` is the setting of the run that made ``report``."""
     mask = data.validation_mask()
     residuals = model_residuals(
         report.best.model, data.x1[mask], data.x2[mask], symmetric_transfer
@@ -82,7 +86,8 @@ def run_trial(
         )
         try:
             report = run_ransac(data.problem, data.x1, data.x2, cfg, data.image_size)
-            errors.append(validation_error(report, data, settings.symmetric_transfer))
+            errors.append(validation_error(
+                report, data, symmetric_transfer=settings.symmetric_transfer))
             inliers.append(report.best.inlier_count)
         except EstimationFailedError as exc:
             report = exc.report
@@ -181,7 +186,8 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
     return out
 
 
-def select_thresholds(records: list[BenchRecord], tolerance: float = 0.01) -> dict[str, dict]:
+def select_thresholds(records: list[BenchRecord],
+                      tolerance: float = SELECT_TOLERANCE) -> dict[str, dict]:
     """Per-method threshold choice: fastest sigma whose mean error is within
     ``tolerance`` (relative) of that method's minimum mean error."""
     if not 0.0 <= tolerance < np.inf:

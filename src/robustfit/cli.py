@@ -13,7 +13,8 @@ import argparse
 import json
 import sys
 
-from .bench import BenchSettings, run_bench, select_thresholds, summarize, validation_error
+from .bench import (SELECT_TOLERANCE, BenchSettings, run_bench, select_thresholds, summarize,
+                    validation_error)
 from .exceptions import (
     EstimationFailedError,
     InvalidInputError,
@@ -93,7 +94,7 @@ def cmd_estimate(args) -> int:
     }
     if data.labels is not None:
         result["error_on_validation"] = validation_error(
-            report, data, args.symmetric_transfer
+            report, data, symmetric_transfer=args.symmetric_transfer
         )
     _print_json(result)
     return EXIT_OK
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select", help="pick per-method thresholds from a bench CSV")
     sel.add_argument("--input", required=True)
-    sel.add_argument("--tolerance", type=float, default=0.01,
+    sel.add_argument("--tolerance", type=float, default=SELECT_TOLERANCE,
                      help="relative error slack over the per-method minimum")
     sel.set_defaults(func=cmd_select)
     return parser

@@ -160,17 +160,25 @@ def homographic_embeddings(x1h: np.ndarray, x2h: np.ndarray, unit: bool = True) 
     """
     x1h = np.atleast_2d(x1h)
     x2h = np.atleast_2d(x2h)
-    a, b, c = x2h.T
-    zeros = np.zeros(x2h.shape[0])
-    # Built as coordinate planes, n innermost: the first two rows of the
-    # cross-product matrix of x2 as (2, 3, n), then psi[r, 3 i + j] =
-    # x1_i * row_r[j] as (2, 9, n). The norms sum the 9 squares in entry
-    # order, as a norm over axis 1 of (n, 9, 2) blocks does.
-    cross = np.stack([np.stack([zeros, -c, b]), np.stack([c, zeros, -a])])
     x1 = np.ascontiguousarray(x1h.T)
-    planes = (x1[None, :, None, :] * cross[:, None, :, :]).reshape(2, 9, -1)
+    a, b, c = np.ascontiguousarray(x2h.T)
+    # Built in one buffer of coordinate planes, n innermost: psi[r, 3 i + j]
+    # = x1_i * row_r[j] for the first two rows (0, -c, b) and (c, 0, -a) of
+    # the cross-product matrix of x2. The zero entries are x1_i * 0.0, which
+    # is -0.0 for a negative x1_i, so they keep the sign a product gives.
+    planes = np.empty((2, 3, 3, x1.shape[1]))
+    for r, row in enumerate(((0.0, -c, b), (c, 0.0, -a))):
+        for j, entry in enumerate(row):
+            np.multiply(x1, entry, out=planes[r, :, j])
+    planes = planes.reshape(2, 9, -1)
     if unit:
-        norms = row_norms(planes.transpose(0, 2, 1))
+        # The 9 squares summed in entry order through one (2, n) temporary,
+        # as a norm over axis 1 of (n, 9, 2) blocks sums them.
+        norms = planes[:, 0] * planes[:, 0]
+        square = np.empty_like(norms)
+        for j in range(1, 9):
+            norms += np.multiply(planes[:, j], planes[:, j], out=square)
+        np.sqrt(norms, out=norms)
         if np.any(norms == 0.0):
             raise InvalidInputError("zero homographic embedding")
         planes /= norms[:, None, :]
@@ -219,6 +227,8 @@ def _transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     # Works in place on the contiguous (K, n) rows of (K, 3, n) coordinate
     # planes: the same operations as dehomogenize and a norm over (x, y).
     # A non-finite mapped point gives inf or NaN, which fmin turns into inf.
+    # On column-major points (as ProblemSetup holds them) h1.T and the
+    # columns of h2 are contiguous; the bits do not depend on the layout.
     x, y, w = np.swapaxes(h @ h1.T, 0, 1)
     far = np.abs(w) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -261,8 +261,6 @@ class ProblemSetup:
             raise InsufficientDataError(
                 f"{self.n} correspondences < minimal sample size {self.sample_size}"
             )
-        self.h1 = homogeneous(self.x1)
-        self.h2 = homogeneous(self.x2)
         self.t1, self.x1n = hartley_normalize(self.x1)
         self.t2, self.x2n = hartley_normalize(self.x2)
         # The one per-problem branch. Kernels are bound per instance, so a
@@ -270,9 +268,15 @@ class ProblemSetup:
         if problem == FUNDAMENTAL:
             self.solver, self.constrain = fundamental_7pt, rank2_project
             self.embeddings = epipolar_embeddings(self.x1n, self.x2n).T[:, :, None]
+            self.h1, self.h2 = homogeneous(self.x1), homogeneous(self.x2)
         else:
             self.solver, self.constrain = homography_4pt, None
             self.embeddings = homographic_embeddings(self.x1n, self.x2n)
+            # The lifted points column-major, as (3, n) coordinate planes, so
+            # the transfer residuals read contiguous operands.
+            planes = np.ones((2, 3, self.n))
+            planes[0, :2], planes[1, :2] = self.x1.T, self.x2.T
+            self.h1, self.h2 = planes.transpose(0, 2, 1)
 
     def score(self, model: ModelMatrix, epsilon: float) -> ScoredModel:
         """Score one model, or a stack of them as one (K, n) residual block."""

@@ -54,6 +54,16 @@ def smoothed_abs(r: np.ndarray, delta: float) -> np.ndarray:
     return np.where(r <= delta, r * r / (2.0 * delta) + delta / 2.0, r)
 
 
+def _smoothed_norms(r: np.ndarray, delta: float) -> np.ndarray:
+    """``smoothed_abs`` of non-negative norms, bit for bit: no ``np.abs``, and
+    the quadratic branch only where an entry needs it."""
+    small = r <= delta
+    inner = r[small]
+    loss = r.copy()
+    loss[small] = inner * inner / (2.0 * delta) + delta / 2.0
+    return loss
+
+
 def huber_loss(r: np.ndarray, c: float) -> np.ndarray:
     r = np.abs(r)
     return np.where(r <= c, 0.5 * r * r, c * r - 0.5 * c * c)
@@ -97,7 +107,7 @@ def _irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | None,
         # flip of a column leaves unchanged: the sign convention runs once, on
         # the returned basis.
         r = row_norms((rows @ basis).reshape(-1, m * codim))
-        loss = smoothed_abs(r, delta) if c_huber is None else huber_loss(r, c_huber)
+        loss = _smoothed_norms(r, delta) if c_huber is None else huber_loss(r, c_huber)
         return r, float(np.sum(loss))
 
     # Only this first update validates (a NaN or inf in the data reaches
@@ -107,10 +117,11 @@ def _irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | None,
     if trace is not None:
         trace.append(obj)
     for _ in range(cfg.tau_max):
-        w_rows = weights(resid)
-        if m > 1:
-            w_rows = np.repeat(w_rows, m)
-        _, vecs = np.linalg.eigh((rows * w_rows[:, None]).T @ rows)
+        # Each row scaled by its correspondence's weight as one flat product
+        # (a broadcast runs one inner loop per row), on the (N, d) row-major
+        # operand that the gemm's bits depend on.
+        scaled = (rows.reshape(-1) * np.repeat(weights(resid), m * d)).reshape(n_rows, d)
+        _, vecs = np.linalg.eigh(scaled.T @ rows)
         basis = np.ascontiguousarray(vecs[:, :codim])
         resid, new_obj = objective(basis)
         if trace is not None:

@@ -13,11 +13,12 @@ from robustfit.bench import (
     run_trial,
     select_thresholds,
     summarize,
+    validation_error,
 )
 from robustfit.exceptions import InvalidInputError
 from robustfit.fileio import BenchRecord, CorrespondenceFile, records_to_csv
 from robustfit.geometry import HOMOGRAPHY
-from robustfit.ransac import RansacConfig, sample_stream_digest
+from robustfit.ransac import RansacConfig, run_ransac, sample_stream_digest
 from robustfit.synth import SynthConfig, synth_homography
 
 
@@ -184,6 +185,19 @@ def test_summarize_matches_independent_recompute():
     assert cell["iqr_error_px"] == pytest.approx(
         np.percentile(errors, 75) - np.percentile(errors, 25), abs=1e-12
     )
+
+
+def test_validation_error_needs_the_residual_choice():
+    """The run's residual choice must be named: left out, or passed by
+    position, it raises instead of defaulting to the one-directional error."""
+    data = make_dataset(seed=1)
+    report = run_ransac(data.problem, data.x1, data.x2, RansacConfig(epsilon=3.0, t_max=50))
+    with pytest.raises(TypeError):
+        validation_error(report, data)
+    with pytest.raises(TypeError):
+        validation_error(report, data, True)
+    one_way = validation_error(report, data, symmetric_transfer=False)
+    assert validation_error(report, data, symmetric_transfer=True) > one_way > 0.0
 
 
 def test_select_thresholds_rule():

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, JSON output, exit codes."""
 
+import inspect
 import json
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from robustfit import cli
-from robustfit.bench import BenchSettings
+from robustfit.bench import SELECT_TOLERANCE, BenchSettings, select_thresholds
 from robustfit.cli import main
 from robustfit.fileio import BenchRecord, parse_correspondences, parse_records, write_records
 from robustfit.ransac import RansacConfig
@@ -180,6 +181,19 @@ def test_required_flags_alone_give_the_config_defaults(monkeypatch, synth_file, 
     syn = _built(monkeypatch, "synth_dataset", "synth", "--problem", "homography",
                  "--inliers", "20", "--out", out)
     assert syn[0] == SynthConfig("homography", 20)
+
+
+def test_select_tolerance_defaults_to_the_bench_constant(monkeypatch, tmp_path):
+    """``select`` without ``--tolerance`` passes the tolerance that
+    ``select_thresholds`` defaults to."""
+    path = tmp_path / "records.csv"
+    write_records(str(path), [])
+    seen = []
+    monkeypatch.setattr(cli, "select_thresholds", lambda records, tolerance: seen.append(tolerance))
+    monkeypatch.setattr(cli, "_print_json", lambda obj: None)
+    assert main(["select", "--input", str(path)]) == 0
+    assert seen == [SELECT_TOLERANCE]
+    assert inspect.signature(select_thresholds).parameters["tolerance"].default == SELECT_TOLERANCE
 
 
 @pytest.mark.parametrize("threshold", [("--epsilon", "nan"), ("--sigma", "inf")])

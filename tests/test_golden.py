@@ -14,6 +14,7 @@ that change says so in CHANGES.md. To regenerate it from the repository root:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -193,6 +194,40 @@ def test_coverage_run_matches_golden(golden, case):
 @pytest.mark.parametrize("case", [c[0] for c in SOLVER_CASES])
 def test_refit_solver_matches_golden(golden, case):
     assert solver_record(case) == golden["solvers"][case]
+
+
+# A wide scene, H 5000/5000 (the large-n benchmark's shape, scene seed 0),
+# run once per case with RANSAC seed 0. The golden file holds nothing above
+# n = 400; these fingerprints were recorded with the row-major transfer
+# points, the broadcast IRLS scaling and the stacked embedding planes.
+WIDE_RUNS = {
+    "dpcp": ({}, {
+        "model_sha256": "c9c0bfb1ccd740d1bc52959619e73f515fe88aa459ac18bb95a477e63ca43f76",
+        "score": "0x1.e733ab2e9f012p+11", "inlier_count": 4941, "iterations_used": 49,
+        "sample_digest": "7d92fe00cfa945a8de3036b411076f9192d6d6580eaec76e39a4f0661694254b"}),
+    "none": ({}, {
+        "model_sha256": "1a6f518aa92b54c269c9a320dfecafbbe2c756602c9e51d0a2ecc3903cfa7b7f",
+        "score": "0x1.58dbf8b2019cep+11", "inlier_count": 4122, "iterations_used": 108,
+        "sample_digest": "7b17d21fb1450bf2f9767420ea282ddd65adb28f6e9149e78f66fb76eab40502"}),
+    "dpcp/symmetric": ({"symmetric_transfer": True}, {
+        "model_sha256": "c96da44e0ed85d56081ca27a5707e6bbeea58e40ee185d32318cd124e7696140",
+        "score": "0x1.9ad40a925be61p+10", "inlier_count": 2870, "iterations_used": 441,
+        "sample_digest": "c03ad9aaba64e605616f48a13473117ecd86d90a250e0ff0460c9e625cb730e7"}),
+}
+
+
+@pytest.mark.parametrize("case", WIDE_RUNS)
+def test_wide_scene_matches_its_fingerprint(case):
+    options, want = WIDE_RUNS[case]
+    ds = _scene(HOMOGRAPHY, 5000, 5000, 0)
+    cfg = RansacConfig(epsilon=EPSILON_PX, lo_method=case.split("/")[0], seed=0, **options)
+    report = run_ransac(HOMOGRAPHY, ds.x1, ds.x2, cfg, ds.image_size)
+    best = report.best
+    assert {
+        "model_sha256": hashlib.sha256(np.ascontiguousarray(best.model.m, "<f8")).hexdigest(),
+        "score": best.score.hex(), "inlier_count": best.inlier_count,
+        "iterations_used": report.iterations_used, "sample_digest": report.sample_digest,
+    } == want
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ of the row-wise numpy kernels that the production code replaced with
 contiguous coordinate planes and entry-order sums. The golden file holds no
 scene above n = 400, so these tests require the same bytes on seeded inputs
 up to n = 10 000 and on edge rows: points at infinity, NaN models, overflowing
-coordinates and residuals, and empty inputs.
+coordinates and residuals, and empty inputs. The transfer kernels must give
+those bytes on row-major and on column-major points (the layout
+``ProblemSetup`` holds for homographies), and the IRLS loop on a wide scene's
+blocks as well.
 """
 
 import hashlib
@@ -34,7 +37,7 @@ from robustfit.geometry import (
 )
 from robustfit.linalg import apply_sign_convention, least_eigvecs, row_norms, solve_cubic_real
 from robustfit.ransac import draw_minimal_sample, sample_stream_digest, truncated_quadratic_score
-from robustfit.subspace import IrlsConfig, _irls, huber_loss, smoothed_abs
+from robustfit.subspace import IrlsConfig, _irls, _smoothed_norms, huber_loss, smoothed_abs
 
 # ---------------------------------------------------------------------------
 # Reference implementations (verbatim, renamed)
@@ -468,14 +471,20 @@ TRANSFER_KERNELS = [(transfer_error, reference_transfer),
                     (symmetric_transfer_error, reference_symmetric_transfer)]
 
 
+# The points in the row-major layout the references were recorded on, and in
+# the column-major one that ProblemSetup holds for homographies.
+POINT_LAYOUTS = [np.ascontiguousarray, np.asfortranarray]
+
+
+@pytest.mark.parametrize("layout", POINT_LAYOUTS, ids=["row-major", "column-major"])
 @pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward", "symmetric"])
 @pytest.mark.parametrize("k", [1, 3, 54])
 @pytest.mark.parametrize("n", [0, 1, 7, 300, 10_000])
-def test_transfer_equals_reference_on_seeded_stacks(kernel, reference, k, n):
+def test_transfer_equals_reference_on_seeded_stacks(kernel, reference, k, n, layout):
     rng = np.random.default_rng(1000 * k + n)
     for _ in range(3 if n < 10_000 else 1):
         h, h1, h2 = _homographies(rng, k), _lifted(rng, n), _lifted(rng, n)
-        got = kernel(h, h1, h2)
+        got = kernel(h, layout(h1), layout(h2))
         assert _bytes(got) == _bytes(reference(h, h1, h2))
         assert not np.isnan(got).any()
 
@@ -501,11 +510,13 @@ def _edge_stacks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, h1, h2
 
 
+@pytest.mark.parametrize("layout", POINT_LAYOUTS, ids=["row-major", "column-major"])
 @pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward", "symmetric"])
-def test_transfer_equals_reference_on_edge_rows(kernel, reference):
+def test_transfer_equals_reference_on_edge_rows(kernel, reference, layout):
     h, h1, h2 = _edge_stacks()
     with np.errstate(all="ignore"):  # overflowing products and determinants
         want = reference(h, h1, h2)
+        h1, h2 = layout(h1), layout(h2)
         got = kernel(h, h1, h2)
         rows = [(kernel(h[k], h1, h2), kernel(h[k:k + 1], h1, h2)) for k in range(len(h))]
     assert _bytes(got) == _bytes(want)
@@ -597,28 +608,48 @@ def test_row_norms_equal_linalg_norm_below_eight_entries(width):
 # ---------------------------------------------------------------------------
 
 
-def _irls_inputs() -> dict[str, np.ndarray]:
-    """Seeded (9, n) epipolar columns and (n, 9, 2) homographic blocks with
-    about 30 % gross outliers, and a (9, 2000) random matrix."""
-    rng = np.random.default_rng(11)
-    x1 = rng.uniform(0.0, 640.0, (3000, 2))
+def _scene_embeddings(rng: np.random.Generator, n: int, outliers: int):
+    """Hartley-normalized points of n correspondences under one homography,
+    0.5 px noise, the first ``outliers`` replaced by uniform points."""
+    x1 = rng.uniform(0.0, 640.0, (n, 2))
     h = np.array([[1.02, 0.05, 12.0], [-0.03, 0.98, -7.0], [2e-5, -1e-5, 1.0]])
     mapped = homogeneous(x1) @ h.T
-    x2 = mapped[:, :2] / mapped[:, 2:] + rng.normal(0.0, 0.5, (3000, 2))
-    x2[:900] = rng.uniform(0.0, 640.0, (900, 2))
-    _, x1n = hartley_normalize(x1)
-    _, x2n = hartley_normalize(x2)
+    x2 = mapped[:, :2] / mapped[:, 2:] + rng.normal(0.0, 0.5, (n, 2))
+    x2[:outliers] = rng.uniform(0.0, 640.0, (outliers, 2))
+    return hartley_normalize(x1)[1], hartley_normalize(x2)[1]
+
+
+def _irls_inputs() -> dict[str, np.ndarray]:
+    """Seeded (9, n) epipolar columns and (n, 9, 2) homographic blocks with
+    about 30 % gross outliers, a (9, 2000) random matrix, and the
+    homographic blocks of a wide scene: 6 000 correspondences, half of them
+    outliers, as the large-n benchmark refits."""
+    rng = np.random.default_rng(11)
+    x1n, x2n = _scene_embeddings(rng, 3000, 900)
     return {
         "blocks": homographic_embeddings(x1n, x2n),
         "columns": epipolar_embeddings(x1n, x2n),
         "random": rng.standard_normal((9, 2000)),
+        "wide-blocks": homographic_embeddings(*_scene_embeddings(rng, 6000, 3000)),
     }
+
+
+@pytest.mark.parametrize("delta", [1e-9, 0.5])
+def test_objective_smoothing_equals_smoothed_abs_on_norms(delta):
+    """The objective's smoothing of row norms gives ``smoothed_abs``'s bytes,
+    with entries below, at and above ``delta``, zeros, inf and NaN."""
+    rng = np.random.default_rng(3)
+    r = delta * 10.0 ** rng.uniform(-3.0, 3.0, 5000)
+    r[:6] = [0.0, delta, np.nextafter(delta, 0.0), np.nextafter(delta, 1.0), np.inf, np.nan]
+    for norms in (r, r[r > delta], r[:0]):
+        assert _bytes(_smoothed_norms(norms, delta)) == _bytes(smoothed_abs(norms, delta))
 
 
 IRLS_CASES = [
     ("blocks", 1, None), ("blocks", 1, 0.01), ("blocks", 2, None), ("blocks", 3, None),
     ("columns", 1, None), ("columns", 1, 0.01), ("columns", 3, None),
     ("random", 1, None), ("random", 2, 0.5), ("random", 5, None), ("random", 7, None),
+    ("wide-blocks", 1, None),
 ]
 
 
