@@ -198,8 +198,9 @@ def test_refit_solver_matches_golden(golden, case):
 
 # A wide scene, H 5000/5000 (the large-n benchmark's shape, scene seed 0),
 # run once per case with RANSAC seed 0. The golden file holds nothing above
-# n = 400; these fingerprints were recorded with the row-major transfer
-# points, the broadcast IRLS scaling and the stacked embedding planes.
+# n = 400, and the wide kernels' layouts only matter at this size; like the
+# golden file, these fingerprints are regenerated only by a change that means
+# to alter results.
 WIDE_RUNS = {
     "dpcp": ({}, {
         "model_sha256": "c9c0bfb1ccd740d1bc52959619e73f515fe88aa459ac18bb95a477e63ca43f76",
