@@ -160,8 +160,8 @@ def homographic_embeddings(x1h: np.ndarray, x2h: np.ndarray, unit: bool = True) 
     """
     x1h = np.atleast_2d(x1h)
     x2h = np.atleast_2d(x2h)
-    x1 = np.ascontiguousarray(x1h.T)
-    a, b, c = np.ascontiguousarray(x2h.T)
+    x1 = np.ascontiguousarray(x1h.T, dtype=np.float64)
+    a, b, c = np.ascontiguousarray(x2h.T, dtype=np.float64)
     # Built in one buffer of coordinate planes, n innermost: psi[r, 3 i + j]
     # = x1_i * row_r[j] for the first two rows (0, -c, b) and (c, 0, -a) of
     # the cross-product matrix of x2. The zero entries are x1_i * 0.0, which

@@ -589,6 +589,20 @@ def test_homographic_embeddings_equal_reference(n, unit):
             _bytes(constraint_rows(reference_homographic_embeddings(x1h, x2h, unit=unit))[0])
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_homographic_embeddings_equal_reference_on_other_dtypes(dtype):
+    """Integer and float32 points multiply in float64, as the reference's
+    type promotion does; int64 products of large coordinates would round or
+    wrap differently."""
+    rng = np.random.default_rng(5)
+    big = 2.0**40 if dtype is np.int64 else 1e3
+    x1h, x2h = (np.hstack([rng.uniform(-big, big, (50, 2)), np.ones((50, 1))]).astype(dtype)
+                for _ in range(2))
+    for unit in (True, False):
+        assert _bytes(homographic_embeddings(x1h, x2h, unit=unit)) == \
+            _bytes(reference_homographic_embeddings(x1h, x2h, unit=unit))
+
+
 def test_homographic_embeddings_zero_block_raises_as_reference():
     x1h = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
     x2h = np.array([[1.0, 1.0, 1.0], [3.0, 4.0, 1.0]])
