@@ -124,6 +124,8 @@ def run_bench(
     jobs: int = 1,
 ) -> list[BenchRecord]:
     """Full sweep: one record per (dataset, method, sigma, trial)."""
+    if not isinstance(trials, (int, np.integer)):
+        raise InvalidInputError(f"trials must be an integer, got {trials!r}")
     if not datasets or not methods or not sigmas or trials < 1:
         raise InvalidInputError("datasets, methods, sigmas and trials must be non-empty")
     check_seed(master_seed)

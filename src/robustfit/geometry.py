@@ -27,6 +27,7 @@ from .linalg import apply_sign_convention, row_norms
 
 FUNDAMENTAL = "fundamental"
 HOMOGRAPHY = "homography"
+FAR_W = 1e-12  # the far-point rule: a lifted point with |w| below this maps to inf
 
 @dataclass(frozen=True)
 class ModelMatrix:
@@ -83,11 +84,11 @@ def homogeneous(points: np.ndarray) -> np.ndarray:
     return np.hstack([points, np.ones((points.shape[0], 1))])
 
 
-def dehomogenize(h: np.ndarray, min_w: float = 1e-12) -> np.ndarray:
-    """(n, 3) -> (n, 2); rows with |w| below ``min_w`` map to inf."""
+def dehomogenize(h: np.ndarray) -> np.ndarray:
+    """(n, 3) -> (n, 2); rows with |w| below ``FAR_W`` map to inf."""
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
     w = h[:, 2:3]
-    safe = np.abs(w) >= min_w
+    safe = np.abs(w) >= FAR_W
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(safe, h[:, :2] / np.where(safe, w, 1.0), np.inf)
     return out
@@ -230,7 +231,7 @@ def _transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     # On column-major points (as ProblemSetup holds them) h1.T and the
     # columns of h2 are contiguous; the bits do not depend on the layout.
     x, y, w = np.swapaxes(h @ h1.T, 0, 1)
-    far = np.abs(w) < 1e-12
+    far = np.abs(w) < FAR_W
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x /= w
         x -= h2[:, 0]
@@ -264,7 +265,7 @@ def sampson_distance(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarra
 def transfer_error(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """One-directional transfer error ||dehom(H x1) - x2|| in pixels.
 
-    Points mapped to infinity ((Hx)_3 below 1e-12 in magnitude) give inf.
+    Points mapped to infinity ((Hx)_3 below ``FAR_W`` in magnitude) give inf.
     """
     return _residuals(_transfer, h, x1, x2)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,7 +55,7 @@ from .solvers import (
     rank2_project,
 )
 # Nothing here calls dpcp_irls; it stays for the tracer, which wraps it in this namespace.
-from .subspace import IrlsConfig, dpcp_irls, dpcp_irls_group, huber_irls  # noqa: F401
+from .subspace import dpcp_irls, dpcp_irls_group, huber_irls  # noqa: F401
 
 LO_METHODS = ("none", "dlt", "huber", "dpcp")
 
@@ -82,7 +82,6 @@ class RansacConfig:
     lo_k_max: int = 20
     huber_c: float = 0.01
     seed: int = 0
-    irls: IrlsConfig = field(default_factory=IrlsConfig)
     # Homography residual variant: score with forward + backward transfer error.
     symmetric_transfer: bool = False
 
@@ -207,26 +206,21 @@ def classify_inliers(residuals: np.ndarray, epsilon: float) -> np.ndarray:
     return np.asarray(residuals) <= epsilon
 
 
-def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int,
-                        count: int | None = None) -> np.ndarray:
-    """Uniform sample of ``sample_size`` distinct indices from range(n), or
-    ``count`` of them.
+def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int, count: int) -> np.ndarray:
+    """``count`` uniform samples of ``sample_size`` distinct indices from range(n).
 
     Partial Fisher-Yates with a sparse swap table: exactly ``sample_size``
     integer draws from ``rng`` per sample, uniform over all subsets. All the
     draws are taken in one ``rng.integers`` call on an array of lower bounds,
     which reads the generator stream exactly as one scalar call per draw
-    would. Returns the (sample_size,) int64 index array in draw order, or a
-    (count, sample_size) stack of samples in draw order.
+    would. Returns the (count, sample_size) int64 stack of samples in draw
+    order.
     """
-    if not 0 <= sample_size <= n:
-        raise InvalidInputError(f"cannot draw {sample_size} distinct indices from {n}")
-    rows = 1 if count is None else count
-    if rows < 0:
-        raise InvalidInputError(f"cannot draw {count} samples")
-    draws = rng.integers(np.tile(np.arange(sample_size), rows), n).tolist()
+    if not 0 <= sample_size <= n or count < 0:
+        raise InvalidInputError(f"cannot draw {count} samples of {sample_size} distinct indices from {n}")
+    draws = rng.integers(np.tile(np.arange(sample_size), count), n).tolist()
     out: list[int] = []
-    for i in range(rows):
+    for i in range(count):
         start = i * sample_size
         swaps: dict[int, int] = {}
         for j in range(sample_size):
@@ -235,8 +229,7 @@ def draw_minimal_sample(rng: np.random.Generator, n: int, sample_size: int,
             vr = swaps.get(r, r)
             swaps[j], swaps[r] = vr, vj
             out.append(vr)
-    samples = np.array(out, dtype=np.int64).reshape(rows, sample_size)
-    return samples[0] if count is None else samples
+    return np.array(out, dtype=np.int64).reshape(count, sample_size)
 
 
 class ProblemSetup:
@@ -297,10 +290,10 @@ class ProblemSetup:
         if cfg.lo_method == "dlt":
             v = dlt_refit(data)
         elif cfg.lo_method == "huber":
-            v = huber_irls(data, cfg.huber_c, cfg.irls)
+            v = huber_irls(data, cfg.huber_c)
         elif cfg.lo_method == "dpcp":
             # On (n, 9, 1) epipolar blocks this is the _irls call of dpcp_irls.
-            v = dpcp_irls_group(data, cfg.irls)
+            v = dpcp_irls_group(data)
         else:
             raise InvalidInputError(f"unknown refit method {cfg.lo_method!r}")
         model = normalize_model(unvec_model(v), self.problem)

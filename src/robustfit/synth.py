@@ -49,6 +49,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.problem not in (FUNDAMENTAL, HOMOGRAPHY):
             raise InvalidInputError(f"unknown problem {self.problem!r}")
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n_inliers, self.n_outliers)):
+            raise InvalidInputError("n_inliers and n_outliers must be integers")
         min_n = SAMPLE_SIZE[self.problem]
         if self.n_inliers < min_n:
             raise InvalidInputError(f"need at least {min_n} inliers for {self.problem}")

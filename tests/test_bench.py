@@ -67,6 +67,12 @@ def test_bench_rejects_unlabeled_and_empty_sweeps():
         run_bench([("ds", data)], ["lmeds"], [0.0025], 2, 0)
 
 
+@pytest.mark.parametrize("trials", [2.5, 2.0, "2"])
+def test_bench_rejects_non_integer_trials(trials):
+    with pytest.raises(InvalidInputError, match="trials"):
+        run_bench([("ds", make_dataset())], ["none"], [0.0025], trials, 0)
+
+
 @pytest.mark.parametrize("master_seed", [-1, 1.5])
 def test_bench_rejects_bad_master_seed(master_seed):
     with pytest.raises(InvalidInputError):

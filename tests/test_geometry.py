@@ -5,6 +5,7 @@ import pytest
 
 from robustfit.exceptions import DegenerateInputError, InvalidInputError
 from robustfit.geometry import (
+    FAR_W,
     FUNDAMENTAL,
     HOMOGRAPHY,
     angle_between,
@@ -179,6 +180,25 @@ def test_transfer_error_construction_and_infinity():
     assert transfer_error(hz, np.array([1.0, 1.0]), np.array([0.0, 0.0])) == np.inf
     d = transfer_error(-3.0 * h, x1, x2)
     assert abs(d - 0.5) <= 1e-9  # model-scale invariance
+
+
+def test_far_point_rule_has_one_boundary():
+    """dehomogenize and transfer_error agree on the far-point rule: a point
+    mapped to |w| just below FAR_W is at infinity, at or just above it is not."""
+    x1 = np.array([[3.0, 4.0], [-2.0, 5.0]])
+    x2 = np.array([[1.0, 1.0], [0.0, -7.0]])
+    below, above = np.nextafter(FAR_W, 0.0), np.nextafter(FAR_W, 1.0)
+    for w, far in ((below, True), (FAR_W, False), (above, False)):
+        for sign in (1.0, -1.0):
+            h = np.diag([1.0, 1.0, sign * w])  # maps (x, y, 1) to (x, y, sign * w) exactly
+            mapped = dehomogenize(homogeneous(x1) @ h.T)
+            r = transfer_error(h, x1, x2)
+            if far:
+                assert np.all(np.isinf(mapped)) and np.all(np.isinf(r))
+            else:
+                assert np.all(np.isfinite(mapped)) and np.all(np.isfinite(r))
+                np.testing.assert_allclose(mapped, x1 / (sign * w), rtol=1e-15)
+                np.testing.assert_allclose(r, np.linalg.norm(mapped - x2, axis=1), rtol=1e-12)
 
 
 def test_denormalize_identity():

@@ -177,21 +177,18 @@ DRAW_SHAPES = [(5, 5), (7, 7), (160, 4), (300, 7), (10_000, 4), (2**33, 4)]
 
 
 @pytest.mark.parametrize("n, s", DRAW_SHAPES)
-@pytest.mark.parametrize("count", [None, 1, 2, 37])
+@pytest.mark.parametrize("count", [1, 2, 37])
 def test_batched_draws_equal_per_draw_reference(n, s, count):
     """Same samples, same generator state after them, same next draw."""
     for seed in range(25):
         mine = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         got = draw_minimal_sample(mine, n, s, count)
-        want = np.stack([reference_draw_minimal_sample(ref, n, s)
-                         for _ in range(1 if count is None else count)])
-        if count is None:
-            want = want[0]
+        want = np.stack([reference_draw_minimal_sample(ref, n, s) for _ in range(count)])
         assert got.dtype == np.int64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert mine.bit_generator.state == ref.bit_generator.state
-        assert draw_minimal_sample(mine, n, s).tobytes() == \
+        assert draw_minimal_sample(mine, n, s, 1)[0].tobytes() == \
             reference_draw_minimal_sample(ref, n, s).tobytes()
 
 

@@ -187,9 +187,7 @@ def test_stacked_solve_and_score_equal_single_calls(problem, n_in, n_out, symmet
     x1[30:40], x2[30:40] = x1[40:50], x2[40:50]
     setup = ProblemSetup(problem, x1, x2, symmetric_transfer=symmetric)
     rng = np.random.default_rng(7)
-    samples = np.stack(
-        [draw_minimal_sample(rng, setup.n, setup.sample_size) for _ in range(count)]
-    )
+    samples = draw_minimal_sample(rng, setup.n, setup.sample_size, count)
     samples[0] = np.arange(setup.sample_size)  # all on the line
     samples[1] = np.arange(30, 30 + setup.sample_size)
     samples[1, -1] = 40  # the same point as index 30

@@ -120,8 +120,12 @@ def test_config_validation():
     {"image_size": (640, float("inf"))},
     {"image_size": (0, 480)},
     {"n_outliers": -1},
+    {"n_inliers": 80.5},
+    {"n_inliers": "80"},
+    {"n_outliers": 2.5},
 ])
 def test_config_rejects_out_of_range_values(kwargs):
     # NaN fails every comparison, so only a range check that must hold rejects it.
+    # A non-integer count is rejected before any comparison reads it.
     with pytest.raises(InvalidInputError):
-        SynthConfig(HOMOGRAPHY, n_inliers=20, **kwargs)
+        SynthConfig(HOMOGRAPHY, **{"n_inliers": 20, **kwargs})
