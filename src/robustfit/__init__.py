@@ -29,7 +29,6 @@ from .geometry import (
     model_residuals,
     normalize_model,
     sampson_distance,
-    symmetric_transfer_error,
     transfer_error,
 )
 from .linalg import least_eigvecs, least_singular_vector, solve_cubic_real
@@ -103,7 +102,6 @@ __all__ = [
     "run_ransac",
     "sample_stream_digest",
     "sampson_distance",
-    "symmetric_transfer_error",
     "solve_cubic_real",
     "synth_dataset",
     "synth_fundamental",

@@ -8,11 +8,13 @@ sorted before writing so parallel and sequential runs emit identical CSVs.
 
 Aggregation: the reported mean for a (method, sigma) cell is the equal-weight
 mean over datasets of the per-dataset trial means; median and IQR are pooled
-over all records in the cell (numpy 'linear' percentiles).
+over all records in the cell (numpy 'linear' percentiles; a failed trial's
+inf error makes a percentile inf only where it takes part in it).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,18 +48,12 @@ class BenchSettings:
     lo_k_max: int = RansacConfig.lo_k_max
     huber_c: float = RansacConfig.huber_c
     huber_sweep: bool = False
-    symmetric_transfer: bool = RansacConfig.symmetric_transfer
 
 
-def validation_error(report: RunReport, data: CorrespondenceFile, *,
-                     symmetric_transfer: bool) -> float:
-    """Mean pixel residual of the estimated model over validation inliers;
-    ``symmetric_transfer`` is the setting of the run that made ``report``."""
+def validation_error(report: RunReport, data: CorrespondenceFile) -> float:
+    """Mean pixel residual of the estimated model over validation inliers."""
     mask = data.validation_mask()
-    residuals = model_residuals(
-        report.best.model, data.x1[mask], data.x2[mask], symmetric_transfer
-    )
-    return float(np.mean(residuals))
+    return float(np.mean(model_residuals(report.best.model, data.x1[mask], data.x2[mask])))
 
 
 def run_trial(
@@ -82,12 +78,10 @@ def run_trial(
             lo_k_max=settings.lo_k_max,
             huber_c=c,
             seed=seed,
-            symmetric_transfer=settings.symmetric_transfer,
         )
         try:
             report = run_ransac(data.problem, data.x1, data.x2, cfg, data.image_size)
-            errors.append(validation_error(
-                report, data, symmetric_transfer=settings.symmetric_transfer))
+            errors.append(validation_error(report, data))
             inliers.append(report.best.inlier_count)
         except EstimationFailedError as exc:
             report = exc.report
@@ -155,6 +149,17 @@ def run_bench(
     return sorted(records, key=BenchRecord.sort_key)
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """numpy's 'linear' percentile of sorted errors, without the NaN that an
+    inf gives it: a percentile on an order statistic is that value, and one
+    interpolated toward an inf is inf."""
+    pos = q / 100.0 * (len(ordered) - 1)
+    upper = float(ordered[math.ceil(pos)])
+    if pos.is_integer() or upper == math.inf:
+        return upper
+    return float(np.percentile(ordered, q))
+
+
 def summarize(records: list[BenchRecord]) -> list[dict]:
     """Per-(method, sigma) summary: equal-dataset-weight means, pooled median/IQR."""
     cells: dict[tuple[str, float], list[BenchRecord]] = {}
@@ -172,15 +177,15 @@ def summarize(records: list[BenchRecord]) -> list[dict]:
         dataset_wall_means = [
             float(np.mean([r.wall_ms for r in drecs])) for drecs in per_dataset.values()
         ]
-        pooled = np.array([r.error_px for r in recs])
-        q25, q50, q75 = np.percentile(pooled, [25.0, 50.0, 75.0])
+        pooled = np.sort([r.error_px for r in recs])
+        q25, q50, q75 = (_percentile(pooled, q) for q in (25.0, 50.0, 75.0))
         out.append(
             {
                 "method": method,
                 "sigma": sigma,
                 "mean_error_px": float(np.mean(dataset_error_means)),
-                "median_error_px": float(q50),
-                "iqr_error_px": float(q75 - q25),
+                "median_error_px": q50,
+                "iqr_error_px": math.inf if q75 == math.inf else q75 - q25,
                 "mean_wall_ms": float(np.mean(dataset_wall_means)),
                 "records": len(recs),
             }

@@ -10,6 +10,7 @@ subcommand prints its ground-truth model to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -51,16 +52,12 @@ def _engine_parser() -> argparse.ArgumentParser:
     for flag, name in _ENGINE_FLAGS.items():
         default = getattr(RansacConfig, name)
         shared.add_argument(flag, type=type(default), default=default)
-    shared.add_argument("--symmetric-transfer", action="store_true",
-                        help="homography residual: forward + backward transfer error")
     return shared
 
 
 def _engine_settings(args) -> dict:
     """The shared engine flags as RansacConfig (and BenchSettings) fields."""
-    settings = {name: getattr(args, flag[2:].replace("-", "_"))
-                for flag, name in _ENGINE_FLAGS.items()}
-    return {**settings, "symmetric_transfer": args.symmetric_transfer}
+    return {name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _ENGINE_FLAGS.items()}
 
 
 def cmd_estimate(args) -> int:
@@ -92,10 +89,9 @@ def cmd_estimate(args) -> int:
         "lo_invocations": report.lo_invocations,
         "wall_ms": report.wall_time_ms,
     }
-    if data.labels is not None:
-        result["error_on_validation"] = validation_error(
-            report, data, symmetric_transfer=args.symmetric_transfer
-        )
+    # A file without a validation set (no record labeled 1) gets no error field.
+    with contextlib.suppress(InvalidInputError):
+        result["error_on_validation"] = validation_error(report, data)
     _print_json(result)
     return EXIT_OK
 

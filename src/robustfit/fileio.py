@@ -53,6 +53,8 @@ class CorrespondenceFile:
     def validation_mask(self) -> np.ndarray:
         if self.labels is None:
             raise InvalidInputError("dataset carries no validation labels")
+        if not self.labels.any():
+            raise InvalidInputError("dataset has no record labeled as an inlier")
         return self.labels
 
 

@@ -246,13 +246,6 @@ def _transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     return r
 
 
-def _symmetric_transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    invertible = np.abs(np.linalg.det(h)) >= 1e-15
-    inverse = np.linalg.inv(np.where(invertible[:, None, None], h, np.eye(3)))
-    both = _transfer(h, h1, h2) + _transfer(inverse, h2, h1)
-    return np.where(invertible[:, None], both, np.inf)
-
-
 def sampson_distance(f: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """First-order geometric (Sampson) distance to the epipolar constraint.
 
@@ -270,23 +263,11 @@ def transfer_error(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return _residuals(_transfer, h, x1, x2)
 
 
-def symmetric_transfer_error(h: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Two-directional transfer error: forward plus backward mapping.
-
-    inf when the matrix is not invertible or either direction degenerates.
-    """
-    return _residuals(_symmetric_transfer, h, x1, x2)
-
-
-def model_residuals(
-    model: ModelMatrix, x1: np.ndarray, x2: np.ndarray, symmetric_transfer: bool = False
-) -> np.ndarray:
+def model_residuals(model: ModelMatrix, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Pixel residuals of ``model`` (one or a stack) on correspondence arrays
     (Sampson or transfer)."""
     if model.kind == FUNDAMENTAL:
         return sampson_distance(model.m, x1, x2)
-    if symmetric_transfer:
-        return symmetric_transfer_error(model.m, x1, x2)
     return transfer_error(model.m, x1, x2)
 
 

@@ -82,8 +82,6 @@ class RansacConfig:
     lo_k_max: int = 20
     huber_c: float = 0.01
     seed: int = 0
-    # Homography residual variant: score with forward + backward transfer error.
-    symmetric_transfer: bool = False
 
     def __post_init__(self):
         if (self.epsilon is None) == (self.sigma is None):
@@ -238,12 +236,10 @@ class ProblemSetup:
     Fewer correspondences than one minimal sample raise InsufficientDataError.
     """
 
-    def __init__(self, problem: str, x1: np.ndarray, x2: np.ndarray,
-                 symmetric_transfer: bool = False):
+    def __init__(self, problem: str, x1: np.ndarray, x2: np.ndarray):
         if problem not in (FUNDAMENTAL, HOMOGRAPHY):
             raise InvalidInputError(f"unknown problem {problem!r}")
         self.problem = problem
-        self.symmetric_transfer = symmetric_transfer
         self.x1 = np.asarray(x1, dtype=np.float64)
         self.x2 = np.asarray(x2, dtype=np.float64)
         if self.x1.shape != self.x2.shape or self.x1.ndim != 2 or self.x1.shape[1] != 2:
@@ -273,7 +269,7 @@ class ProblemSetup:
 
     def score(self, model: ModelMatrix, epsilon: float) -> ScoredModel:
         """Score one model, or a stack of them as one (K, n) residual block."""
-        r = model_residuals(model, self.h1, self.h2, self.symmetric_transfer)
+        r = model_residuals(model, self.h1, self.h2)
         return ScoredModel(model, truncated_quadratic_score(r, epsilon), r, epsilon)
 
     def minimal_solve(self, samples: np.ndarray) -> Candidates:
@@ -372,7 +368,7 @@ def run_ransac(problem: str, x1: np.ndarray, x2: np.ndarray, cfg: RansacConfig,
     EstimationFailedError : no sample yielded a model within the budget.
     """
     t_start = time.perf_counter()
-    setup = ProblemSetup(problem, x1, x2, cfg.symmetric_transfer)
+    setup = ProblemSetup(problem, x1, x2)
     epsilon = cfg.resolve_epsilon(image_size)
 
     rng = _seed_rng(cfg.seed)

@@ -48,15 +48,10 @@ class IrlsConfig:
             )
 
 
-def smoothed_abs(r: np.ndarray, delta: float) -> np.ndarray:
-    """Huber-style smoothing of |r|: r^2/(2 delta) + delta/2 inside |r| <= delta."""
-    r = np.abs(r)
-    return np.where(r <= delta, r * r / (2.0 * delta) + delta / 2.0, r)
-
-
 def _smoothed_norms(r: np.ndarray, delta: float) -> np.ndarray:
-    """``smoothed_abs`` of non-negative norms, bit for bit: no ``np.abs``, and
-    the quadratic branch only where an entry needs it."""
+    """Huber-style smoothing of non-negative norms: r^2/(2 delta) + delta/2
+    inside r <= delta, r outside; the quadratic branch only where an entry
+    needs it."""
     small = r <= delta
     inner = r[small]
     loss = r.copy()

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: pairing, aggregation, parallel determinism."""
 
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from robustfit.bench import (
     run_trial,
     select_thresholds,
     summarize,
-    validation_error,
 )
 from robustfit.exceptions import InvalidInputError
 from robustfit.fileio import BenchRecord, CorrespondenceFile, records_to_csv
@@ -65,6 +65,12 @@ def test_bench_rejects_unlabeled_and_empty_sweeps():
         run_bench([("ds", data)], [], [0.0025], 2, 0)
     with pytest.raises(InvalidInputError):
         run_bench([("ds", data)], ["lmeds"], [0.0025], 2, 0)
+
+
+def test_bench_rejects_a_file_with_no_inlier_label():
+    no_inliers = replace(make_dataset(), labels=np.zeros(120, dtype=bool))
+    with pytest.raises(InvalidInputError, match="no record labeled as an inlier"):
+        run_bench([("ds", no_inliers)], ["none"], [0.0025], 2, 0)
 
 
 @pytest.mark.parametrize("trials", [2.5, 2.0, "2"])
@@ -187,23 +193,28 @@ def test_summarize_matches_independent_recompute():
     d0 = np.array([r.error_px for r in records if r.dataset == "d0"])
     d1 = np.array([r.error_px for r in records if r.dataset == "d1"])
     assert cell["mean_error_px"] == pytest.approx((d0.mean() + d1.mean()) / 2.0, abs=1e-12)
-    assert cell["median_error_px"] == pytest.approx(np.percentile(errors, 50), abs=1e-12)
-    assert cell["iqr_error_px"] == pytest.approx(
-        np.percentile(errors, 75) - np.percentile(errors, 25), abs=1e-12
-    )
+    # Finite errors get numpy's percentiles bit for bit.
+    q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
+    assert cell["median_error_px"] == q50
+    assert cell["iqr_error_px"] == q75 - q25
 
 
-def test_validation_error_needs_the_residual_choice():
-    """The run's residual choice must be named: left out, or passed by
-    position, it raises instead of defaulting to the one-directional error."""
-    data = make_dataset(seed=1)
-    report = run_ransac(data.problem, data.x1, data.x2, RansacConfig(epsilon=3.0, t_max=50))
-    with pytest.raises(TypeError):
-        validation_error(report, data)
-    with pytest.raises(TypeError):
-        validation_error(report, data, True)
-    one_way = validation_error(report, data, symmetric_transfer=False)
-    assert validation_error(report, data, symmetric_transfer=True) > one_way > 0.0
+@pytest.mark.parametrize("errors, median, iqr", [
+    ([1.0, 2.0, np.inf], 2.0, np.inf),
+    ([1.0, 2.0, 3.0, np.inf], 2.5, np.inf),
+    ([0.5, 1.0, 2.0, 3.0, np.inf], 2.0, 2.0),
+    ([1.0, np.inf, np.inf], np.inf, np.inf),
+])
+def test_summarize_with_failed_trials(errors, median, iqr):
+    """A failed trial's error is inf: a percentile on an order statistic is
+    that value, one interpolated toward an inf is inf, and so is the IQR."""
+    records = [BenchRecord("d", "dpcp", 0.005, i, i, e, 50, 100, 3, 1.0)
+               for i, e in enumerate(errors)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cell = summarize(records)[0]
+    assert (cell["mean_error_px"], cell["median_error_px"], cell["iqr_error_px"]) == (
+        np.inf, median, iqr)
 
 
 def test_select_thresholds_rule():

@@ -10,7 +10,8 @@ import pytest
 from robustfit import cli
 from robustfit.bench import SELECT_TOLERANCE, BenchSettings, select_thresholds
 from robustfit.cli import main
-from robustfit.fileio import BenchRecord, parse_correspondences, parse_records, write_records
+from robustfit.fileio import (BenchRecord, parse_correspondences, parse_records,
+                              write_correspondences, write_records)
 from robustfit.ransac import RansacConfig
 from robustfit.synth import SynthConfig
 
@@ -84,36 +85,30 @@ def test_estimate_byte_identical_except_wall(synth_file, capsys):
 
 
 # ``estimate`` output of the seeded scene above (H 60/60, noise 1, seed 7) at
-# sigma 0.005 and RANSAC seed 11, wall time aside, as the row-wise kernels
-# that the golden file was recorded with printed it.
+# sigma 0.005 and RANSAC seed 11, wall time aside, recorded from code that
+# gives the golden file's results.
 ESTIMATE_RECORDS = {
-    "dpcp": (
-        [],
-        {"epsilon": 4.0, "error_on_validation": 1.0948643541550553, "inlier_count": 60,
-         "iterations": 49, "lo_invocations": 2, "lo_method": "dpcp",
-         "model": [-0.006773660154377171, -0.0003941413566454213, 0.28103919299460134,
-                   0.00032814925053707537, -0.007106814429028271, 0.959618410707497,
-                   6.67775202190756e-07, 1.1029291273585713e-07, -0.007268116616234199],
-         "problem": "homography", "score": 54.027783004163226, "seed": 11},
-    ),
-    "huber-symmetric": (
-        ["--symmetric-transfer"],
-        {"epsilon": 4.0, "error_on_validation": 2.2543927383838707, "inlier_count": 55,
-         "iterations": 67, "lo_invocations": 2, "lo_method": "huber",
-         "model": [-0.006742989769953356, -0.0004025207994943549, 0.2820945632070569,
-                   0.0003243098439561296, -0.0070844823300195625, 0.9593093423055588,
-                   6.463361980454622e-07, 1.0803480294134979e-07, -0.007233130240489214],
-         "problem": "homography", "score": 38.6581492753351, "seed": 11},
-    ),
+    "dpcp": {"epsilon": 4.0, "error_on_validation": 1.0948643541550553, "inlier_count": 60,
+             "iterations": 49, "lo_invocations": 2, "lo_method": "dpcp",
+             "model": [-0.006773660154377171, -0.0003941413566454213, 0.28103919299460134,
+                       0.00032814925053707537, -0.007106814429028271, 0.959618410707497,
+                       6.67775202190756e-07, 1.1029291273585713e-07, -0.007268116616234199],
+             "problem": "homography", "score": 54.027783004163226, "seed": 11},
+    "huber": {"epsilon": 4.0, "error_on_validation": 1.1226137202430981, "inlier_count": 60,
+              "iterations": 49, "lo_invocations": 2, "lo_method": "huber",
+              "model": [-0.006768760643740191, -0.0003935314178187653, 0.2812755321631369,
+                        0.0003265200110891434, -0.007100624807891939, 0.9595492724456984,
+                        6.46630072867936e-07, 1.368619193147788e-07, -0.007264453126638085],
+              "problem": "homography", "score": 54.056194911024974, "seed": 11},
 }
 
 
 @pytest.mark.parametrize("case", sorted(ESTIMATE_RECORDS))
 def test_estimate_json_equals_record(synth_file, capsys, case):
     path, _ = synth_file
-    extra, record = ESTIMATE_RECORDS[case]
+    record = ESTIMATE_RECORDS[case]
     code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--sigma", "0.005",
-                           "--lo", record["lo_method"], "--seed", "11", *extra)
+                           "--lo", case, "--seed", "11")
     assert code == 0
     masked = re.sub(r'"wall_ms": [^\n]*', '"wall_ms": 0.0', out)
     assert masked == json.dumps({**record, "wall_ms": 0.0}, indent=2, sort_keys=True) + "\n"
@@ -248,6 +243,28 @@ def test_bench_and_select_round_trip(tmp_path, synth_file, capsys):
     chosen = json.loads(out)
     assert set(chosen) == {"none", "dpcp"}
     assert chosen["dpcp"]["sigma"] in (0.0025, 0.005)
+
+
+def test_file_with_no_inlier_label(tmp_path, capsys):
+    """A labeled file with no record labeled 1 has no validation set:
+    estimate leaves the error out, as for an unlabeled file, and bench
+    refuses the file."""
+    scene = tmp_path / "scene.rf"
+    run_cli(capsys, "synth", "--problem", "homography", "--inliers", "60", "--outliers", "20",
+            "--seed", "0", "--out", str(scene))
+    data = parse_correspondences(scene)
+    path = tmp_path / "no-inliers.rf"
+    write_correspondences(path, data.problem, data.image_size, data.x1, data.x2,
+                          np.zeros(data.n, dtype=bool))
+    code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--epsilon", "3")
+    assert (code, err) == (0, "")
+    assert "error_on_validation" not in json.loads(out)
+    csv_path = tmp_path / "records.csv"
+    code, out, err = run_cli(capsys, "bench", "--input", str(path), "--sigmas", "0.005",
+                             "--methods", "none", "--trials", "1", "--out", str(csv_path))
+    assert (code, out) == (2, "")
+    assert err == "robustfit: dataset has no record labeled as an inlier\n"
+    assert not csv_path.exists()
 
 
 def test_bench_empty_sweep_usage_error(synth_file, capsys):

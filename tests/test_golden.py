@@ -1,6 +1,6 @@
 """Golden outputs: ``run_ransac`` and the LO refit solvers, compared bit for bit.
 
-``golden_ransac.json`` records, for 320 seeded runs and 22 coverage runs
+``golden_ransac.json`` records, for 320 seeded runs and 16 coverage runs
 (``COVERAGE``), the model bytes, score,
 inlier count, iteration and LO counts, sample digest and score history, plus
 the raw outputs (vector and objective trace) of the refit solvers on seeded
@@ -101,15 +101,13 @@ def _degenerate_scene(problem: str, n_in: int, n_out: int, seed: int):
 
 
 # Paths the runs above barely reach: a budget that never shrinks (F with 20 %
-# inliers under a 2 000 cap), symmetric transfer scoring, and samples that hit
-# the collinearity and rank guards.
+# inliers under a 2 000 cap) and samples that hit the collinearity and rank
+# guards.
 # (key, problem, scene builder, inliers, outliers, scene seeds, LO methods,
 #  RANSAC seeds, RansacConfig options)
 COVERAGE = (
     ("F60/240/t_max=2000", FUNDAMENTAL, _scene, 60, 240, range(2), ("none", "dpcp"), range(1),
      {"t_max": 2000}),
-    ("H100/100/symmetric", HOMOGRAPHY, _scene, 100, 100, range(1), ("none", "dpcp"), range(3),
-     {"symmetric_transfer": True}),
     ("F50/50/degenerate", FUNDAMENTAL, _degenerate_scene, 50, 50, range(1), ("none", "dpcp"),
      range(3), {}),
     ("H40/60/degenerate", HOMOGRAPHY, _degenerate_scene, 40, 60, range(1), ("none", "dpcp"),
@@ -202,26 +200,22 @@ def test_refit_solver_matches_golden(golden, case):
 # golden file, these fingerprints are regenerated only by a change that means
 # to alter results.
 WIDE_RUNS = {
-    "dpcp": ({}, {
+    "dpcp": {
         "model_sha256": "c9c0bfb1ccd740d1bc52959619e73f515fe88aa459ac18bb95a477e63ca43f76",
         "score": "0x1.e733ab2e9f012p+11", "inlier_count": 4941, "iterations_used": 49,
-        "sample_digest": "7d92fe00cfa945a8de3036b411076f9192d6d6580eaec76e39a4f0661694254b"}),
-    "none": ({}, {
+        "sample_digest": "7d92fe00cfa945a8de3036b411076f9192d6d6580eaec76e39a4f0661694254b"},
+    "none": {
         "model_sha256": "1a6f518aa92b54c269c9a320dfecafbbe2c756602c9e51d0a2ecc3903cfa7b7f",
         "score": "0x1.58dbf8b2019cep+11", "inlier_count": 4122, "iterations_used": 108,
-        "sample_digest": "7b17d21fb1450bf2f9767420ea282ddd65adb28f6e9149e78f66fb76eab40502"}),
-    "dpcp/symmetric": ({"symmetric_transfer": True}, {
-        "model_sha256": "c96da44e0ed85d56081ca27a5707e6bbeea58e40ee185d32318cd124e7696140",
-        "score": "0x1.9ad40a925be61p+10", "inlier_count": 2870, "iterations_used": 441,
-        "sample_digest": "c03ad9aaba64e605616f48a13473117ecd86d90a250e0ff0460c9e625cb730e7"}),
+        "sample_digest": "7b17d21fb1450bf2f9767420ea282ddd65adb28f6e9149e78f66fb76eab40502"},
 }
 
 
 @pytest.mark.parametrize("case", WIDE_RUNS)
 def test_wide_scene_matches_its_fingerprint(case):
-    options, want = WIDE_RUNS[case]
+    want = WIDE_RUNS[case]
     ds = _scene(HOMOGRAPHY, 5000, 5000, 0)
-    cfg = RansacConfig(epsilon=EPSILON_PX, lo_method=case.split("/")[0], seed=0, **options)
+    cfg = RansacConfig(epsilon=EPSILON_PX, lo_method=case, seed=0)
     report = run_ransac(HOMOGRAPHY, ds.x1, ds.x2, cfg, ds.image_size)
     best = report.best
     assert {

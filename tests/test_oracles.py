@@ -16,7 +16,8 @@ up to n = 10 000 and on edge rows: points at infinity, NaN models, overflowing
 coordinates and residuals, and empty inputs. The transfer kernels must give
 those bytes on row-major and on column-major points (the layout
 ``ProblemSetup`` holds for homographies), and the IRLS loop on a wide scene's
-blocks as well.
+blocks as well. ``reference_smoothed_abs`` is the smoothing that the IRLS
+objective applied to its row norms before ``_smoothed_norms``.
 """
 
 import hashlib
@@ -32,12 +33,11 @@ from robustfit.geometry import (
     hartley_normalize,
     homogeneous,
     homographic_embeddings,
-    symmetric_transfer_error,
     transfer_error,
 )
 from robustfit.linalg import apply_sign_convention, least_eigvecs, row_norms, solve_cubic_real
 from robustfit.ransac import draw_minimal_sample, sample_stream_digest, truncated_quadratic_score
-from robustfit.subspace import IrlsConfig, _irls, _smoothed_norms, huber_loss, smoothed_abs
+from robustfit.subspace import IrlsConfig, _irls, _smoothed_norms, huber_loss
 
 # ---------------------------------------------------------------------------
 # Reference implementations (verbatim, renamed)
@@ -312,11 +312,10 @@ def reference_transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndar
         return np.where(np.isfinite(px) & np.isfinite(py), np.sqrt(dx * dx + dy * dy), np.inf)
 
 
-def reference_symmetric_transfer(h: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    invertible = np.abs(np.linalg.det(h)) >= 1e-15
-    inverse = np.linalg.inv(np.where(invertible[:, None, None], h, np.eye(3)))
-    both = reference_transfer(h, h1, h2) + reference_transfer(inverse, h2, h1)
-    return np.where(invertible[:, None], both, np.inf)
+def reference_smoothed_abs(r: np.ndarray, delta: float) -> np.ndarray:
+    """Huber-style smoothing of |r|: r^2/(2 delta) + delta/2 inside |r| <= delta."""
+    r = np.abs(r)
+    return np.where(r <= delta, r * r / (2.0 * delta) + delta / 2.0, r)
 
 
 def reference_truncated_quadratic_score(residuals: np.ndarray, epsilon: float) -> float | np.ndarray:
@@ -417,7 +416,7 @@ def reference_irls(data: np.ndarray, codim: int, cfg: IrlsConfig, trace: list | 
 
     def objective(basis: np.ndarray) -> tuple[np.ndarray, float]:
         r = np.linalg.norm((rows @ basis).reshape(-1, m * codim), axis=1)
-        loss = smoothed_abs(r, delta) if c_huber is None else huber_loss(r, c_huber)
+        loss = reference_smoothed_abs(r, delta) if c_huber is None else huber_loss(r, c_huber)
         return r, float(np.sum(loss))
 
     # Only this first update validates (a NaN or inf in the data reaches
@@ -464,8 +463,7 @@ def _lifted(rng: np.random.Generator, n: int) -> np.ndarray:
     return homogeneous(rng.uniform(-200.0, 1200.0, (n, 2))) if n else np.empty((0, 3))
 
 
-TRANSFER_KERNELS = [(transfer_error, reference_transfer),
-                    (symmetric_transfer_error, reference_symmetric_transfer)]
+TRANSFER_KERNELS = [(transfer_error, reference_transfer)]
 
 
 # The points in the row-major layout the references were recorded on, and in
@@ -473,7 +471,7 @@ TRANSFER_KERNELS = [(transfer_error, reference_transfer),
 POINT_LAYOUTS = (np.ascontiguousarray, np.asfortranarray)
 
 
-@pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward", "symmetric"])
+@pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward"])
 @pytest.mark.parametrize("k", [1, 3, 54])
 @pytest.mark.parametrize("n", [0, 1, 7, 300, 10_000])
 def test_transfer_equals_reference_on_seeded_stacks(kernel, reference, k, n):
@@ -508,10 +506,10 @@ def _edge_stacks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, h1, h2
 
 
-@pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward", "symmetric"])
+@pytest.mark.parametrize("kernel, reference", TRANSFER_KERNELS, ids=["forward"])
 def test_transfer_equals_reference_on_edge_rows(kernel, reference):
     h, h1, h2 = _edge_stacks()
-    with np.errstate(all="ignore"):  # overflowing products and determinants
+    with np.errstate(all="ignore"):  # overflowing products
         want = reference(h, h1, h2)
     for layout in POINT_LAYOUTS:
         p1, p2 = layout(h1), layout(h2)
@@ -649,13 +647,13 @@ def _irls_inputs() -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("delta", [1e-9, 0.5])
 def test_objective_smoothing_equals_smoothed_abs_on_norms(delta):
-    """The objective's smoothing of row norms gives ``smoothed_abs``'s bytes,
+    """The objective's smoothing of row norms gives ``reference_smoothed_abs``'s bytes,
     with entries below, at and above ``delta``, zeros, inf and NaN."""
     rng = np.random.default_rng(3)
     r = delta * 10.0 ** rng.uniform(-3.0, 3.0, 5000)
     r[:6] = [0.0, delta, np.nextafter(delta, 0.0), np.nextafter(delta, 1.0), np.inf, np.nan]
     for norms in (r, r[r > delta], r[:0]):
-        assert _bytes(_smoothed_norms(norms, delta)) == _bytes(smoothed_abs(norms, delta))
+        assert _bytes(_smoothed_norms(norms, delta)) == _bytes(reference_smoothed_abs(norms, delta))
 
 
 IRLS_CASES = [

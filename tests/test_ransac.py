@@ -281,18 +281,6 @@ def test_run_ransac_estimation_failed_carries_report():
     assert exc_info.value.report.best is None
 
 
-def test_symmetric_transfer_scoring():
-    from robustfit.geometry import symmetric_transfer_error
-
-    ds = synth_dataset(SynthConfig(HOMOGRAPHY, 60, 40, noise_sigma=1.0, seed=12))
-    cfg = RansacConfig(epsilon=4.0, lo_method="dlt", seed=2, symmetric_transfer=True)
-    report = run_ransac(HOMOGRAPHY, ds.x1, ds.x2, cfg, ds.image_size)
-    expected = symmetric_transfer_error(report.best.model.m, ds.x1, ds.x2)
-    np.testing.assert_allclose(report.best.residuals, expected, atol=1e-12)
-    # The two-directional residual cannot be below the one-directional one.
-    assert np.all(expected >= transfer_error(report.best.model.m, ds.x1, ds.x2) - 1e-12)
-
-
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         RansacConfig(epsilon=1.0, sigma=0.01)
@@ -434,7 +422,7 @@ BATCH_CASES = [
     (FUNDAMENTAL, 120, 80, 0, {"lo_method": "dpcp", "seed": 3}, False),
     (FUNDAMENTAL, 60, 240, 1, {"lo_method": "none", "seed": 2, "t_max": 600}, False),
     (HOMOGRAPHY, 100, 100, 2, {"lo_method": "dlt", "seed": 4}, False),
-    (HOMOGRAPHY, 100, 100, 3, {"lo_method": "huber", "seed": 5, "symmetric_transfer": True}, False),
+    (HOMOGRAPHY, 100, 100, 3, {"lo_method": "huber", "seed": 5}, False),
     # The 128-sample batch at iteration 128 is cut at sample 62, in its second chunk of 40.
     (HOMOGRAPHY, 160, 240, 0, {"lo_method": "none", "seed": 3}, True),
 ]
@@ -458,9 +446,9 @@ def test_batched_run_equals_sample_at_a_time(monkeypatch, problem, n_in, n_out, 
 
 @pytest.mark.parametrize("problem, n_in, n_out, options", [
     (FUNDAMENTAL, 60, 240, {"lo_method": "dpcp", "t_max": 1500}),
-    (HOMOGRAPHY, 100, 100, {"lo_method": "dlt", "symmetric_transfer": True}),
+    (HOMOGRAPHY, 100, 100, {"lo_method": "dlt"}),
     (HOMOGRAPHY, ransac._BLOCK + 100, 0, {"lo_method": "dpcp", "t_max": 20}),
-], ids=["F", "H-symmetric", "H-wider-than-block"])
+], ids=["F", "H", "H-wider-than-block"])
 def test_no_score_call_exceeds_the_block(monkeypatch, problem, n_in, n_out, options):
     ds = synth_dataset(SynthConfig(problem, n_in, n_out, noise_sigma=0.5, seed=7))
     log = _BatchLog(monkeypatch)
@@ -473,14 +461,12 @@ def test_no_score_call_exceeds_the_block(monkeypatch, problem, n_in, n_out, opti
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("problem, symmetric", [
-    (FUNDAMENTAL, False), (HOMOGRAPHY, False), (HOMOGRAPHY, True),
-], ids=["F", "H", "H-symmetric"])
-def test_stack_row_equals_single_score(problem, symmetric):
+@pytest.mark.parametrize("problem", [FUNDAMENTAL, HOMOGRAPHY], ids=["F", "H"])
+def test_stack_row_equals_single_score(problem):
     """Row k of a stacked score is the single-model score of model k, field
     for field, the inlier mask and count computed on demand included."""
     ds = synth_dataset(SynthConfig(problem, 80, 40, noise_sigma=1.0, seed=4))
-    setup = ProblemSetup(problem, ds.x1, ds.x2, symmetric)
+    setup = ProblemSetup(problem, ds.x1, ds.x2)
     samples = draw_minimal_sample(np.random.default_rng(0), setup.n, setup.sample_size, 12)
     found = setup.minimal_solve(samples)
     stack = setup.score(found.models, 3.0)

@@ -165,16 +165,15 @@ def test_rank2_project_determinant():
         assert abs(np.linalg.det(rank2_project(model).m)) <= 1e-12
 
 
-@pytest.mark.parametrize("problem, n_in, n_out, symmetric, count", [
-    (FUNDAMENTAL, 50, 50, False, 200),
-    (HOMOGRAPHY, 40, 60, False, 200),
-    (HOMOGRAPHY, 40, 60, True, 200),
+@pytest.mark.parametrize("problem, n_in, n_out, count", [
+    (FUNDAMENTAL, 50, 50, 200),
+    (HOMOGRAPHY, 40, 60, 200),
     # n = 9 000 and 10 000: 2**14 // n == 1, so the (K, n) block of a stack is
     # wider than the cap a run puts on one batch.
-    (FUNDAMENTAL, 4500, 4500, False, 8),
-    (HOMOGRAPHY, 5000, 5000, True, 8),
+    (FUNDAMENTAL, 4500, 4500, 8),
+    (HOMOGRAPHY, 5000, 5000, 8),
 ])
-def test_stacked_solve_and_score_equal_single_calls(problem, n_in, n_out, symmetric, count):
+def test_stacked_solve_and_score_equal_single_calls(problem, n_in, n_out, count):
     """A stack of B samples gives every sample the bytes it gets in a stack
     of one: its candidates, whether it is degenerate, and every candidate's
     score, residuals and inlier count."""
@@ -185,7 +184,7 @@ def test_stacked_solve_and_score_equal_single_calls(problem, n_in, n_out, symmet
     x1[:30] = [100.0, 80.0] + t * [400.0, 300.0]
     x2[:30] = [120.0, 60.0] + t * [350.0, 320.0]
     x1[30:40], x2[30:40] = x1[40:50], x2[40:50]
-    setup = ProblemSetup(problem, x1, x2, symmetric_transfer=symmetric)
+    setup = ProblemSetup(problem, x1, x2)
     rng = np.random.default_rng(7)
     samples = draw_minimal_sample(rng, setup.n, setup.sample_size, count)
     samples[0] = np.arange(setup.sample_size)  # all on the line

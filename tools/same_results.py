@@ -1,4 +1,5 @@
-"""Check that two revisions give the same result on every benchmark call.
+"""Check that two revisions give the same result on every benchmark call,
+and report per seed what differs.
 
 Run from the root of a checkout::
 
@@ -8,11 +9,17 @@ Each revision is exported with ``bench_pairs``' ``checkout`` (``git archive``
 of the committed files) into ``--workdir``. For each seed, each side runs one
 cycle of every workload through its own ``perfbench/workloads.py``: the
 workload's ``setup(seed)`` and then all of its ``steps(state, 1)``, with one
-job and one BLAS thread. Every call's fingerprint (the model bytes, inlier
+job and one BLAS thread. A call is its fingerprint (the model bytes, inlier
 count and sample digest of a direct call, the masked records-CSV row of a
-sweep record) and failure must be the same on both sides. The first
-difference is printed with its workload, seed and config, and the exit code
-is 1; when every call matches the exit code is 0.
+sweep record), its failure and its validation error.
+
+Every seed runs. Per workload and seed, one line gives the calls whose
+fingerprint differs, the failures on each side, and the validation error of
+the calls that are finite on both sides: mean and median per side, and how
+many of those calls the change made worse and better. The last line is
+``SAME`` when every call's config, fingerprint and failure match, with exit
+code 0, or ``DIFFERENT`` with the first difference, its workload, seed and
+config, and exit code 1.
 
 The default seeds are the benchmark's tuning seed 1, the ``bench_pairs``
 seeds 301-310 and the confirmation seed 20261017. They take about five
@@ -24,7 +31,9 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -42,7 +51,8 @@ for seed in json.loads(sys.argv[1]):
         calls = [call for step in workload.steps(state, 1) for call in step()]
         print(json.dumps({"seed": seed, "workload": name, "calls": [
             {"config": repr(configs[c.config]) if configs else c.config,
-             "fingerprint": repr(c.fingerprint), "failure": c.failure}
+             "fingerprint": repr(c.fingerprint), "failure": c.failure,
+             "error_px": c.error_px}
             for c in calls]}), flush=True)
 """
 
@@ -83,6 +93,27 @@ def first_difference(parent: list[dict], change: list[dict]) -> str | None:
     return None
 
 
+def cycle_report(parent: dict, change: dict) -> str:
+    """One line comparing one workload cycle of both sides, call by call."""
+    pairs = list(zip(parent["calls"], change["calls"]))
+    differ = sum(p["fingerprint"] != c["fingerprint"] for p, c in pairs)
+    failed = [sum(call["failure"] is not None for call in side["calls"])
+              for side in (parent, change)]
+    errors = [(p["error_px"], c["error_px"]) for p, c in pairs
+              if math.isfinite(p["error_px"]) and math.isfinite(c["error_px"])]
+    line = (f"{parent['workload']} seed {parent['seed']}: {differ} of {len(pairs)} calls differ, "
+            f"failed {failed[0]} -> {failed[1]}")
+    if not errors:
+        return line + ", no call with a finite error on both sides"
+    before, after = zip(*errors)
+    worse = sum(c > p for p, c in errors)
+    better = sum(c < p for p, c in errors)
+    return (f"{line}, error over {len(errors)} calls: "
+            f"mean {statistics.fmean(before):.6g} -> {statistics.fmean(after):.6g} px, "
+            f"median {statistics.median(before):.6g} -> {statistics.median(after):.6g} px, "
+            f"{worse} worse, {better} better")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision")
@@ -97,17 +128,18 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         roots[side], ident = checkout(getattr(args, side), args.workdir / side)
         print(f"{side}: {ident['revision']} = {ident['commit']}", flush=True)
-    calls = 0
+    runs = {"parent": [], "change": []}
     for seed in args.seeds:
-        runs = {side: run_cycles(roots[side], [seed]) for side in ("parent", "change")}
-        difference = first_difference(runs["parent"], runs["change"])
-        if difference is not None:
-            print(f"DIFFERENT: {difference}", flush=True)
-            return 1
-        seed_calls = {r["workload"]: len(r["calls"]) for r in runs["change"]}
-        calls += sum(seed_calls.values())
-        failed = sum(c["failure"] is not None for r in runs["change"] for c in r["calls"])
-        print(f"seed {seed}: same on {seed_calls}, {failed} failed on both sides", flush=True)
+        cycles = {side: run_cycles(roots[side], [seed]) for side in runs}
+        for parent, change in zip(cycles["parent"], cycles["change"]):
+            print(cycle_report(parent, change), flush=True)
+        for side in runs:
+            runs[side] += cycles[side]
+    difference = first_difference(runs["parent"], runs["change"])
+    if difference is not None:
+        print(f"DIFFERENT: {difference}", flush=True)
+        return 1
+    calls = sum(len(r["calls"]) for r in runs["change"])
     print(f"SAME: {calls} calls over {len(args.seeds)} seeds", flush=True)
     return 0
 
