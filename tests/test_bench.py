@@ -18,7 +18,7 @@ from robustfit.bench import (
 from robustfit.exceptions import InvalidInputError
 from robustfit.fileio import BenchRecord, CorrespondenceFile, records_to_csv
 from robustfit.geometry import HOMOGRAPHY
-from robustfit.ransac import RansacConfig, run_ransac, sample_stream_digest
+from robustfit.ransac import RansacConfig, sample_stream_digest
 from robustfit.synth import SynthConfig, synth_homography
 
 
@@ -68,7 +68,8 @@ def test_bench_rejects_unlabeled_and_empty_sweeps():
 
 
 def test_bench_rejects_a_file_with_no_inlier_label():
-    no_inliers = replace(make_dataset(), labels=np.zeros(120, dtype=bool))
+    data = make_dataset()
+    no_inliers = replace(data, labels=np.zeros_like(data.labels))
     with pytest.raises(InvalidInputError, match="no record labeled as an inlier"):
         run_bench([("ds", no_inliers)], ["none"], [0.0025], 2, 0)
 
